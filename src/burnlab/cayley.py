@@ -402,9 +402,6 @@ class QuadExt:
             return other
         return QuadExt(other)
 
-    def _as(self, d: int) -> tuple[Fraction, Fraction]:
-        return (self.x, self.y)
-
     def __add__(self, other):
         o = self._coerce(other)
         d = self.d or o.d

@@ -6,8 +6,10 @@ Configuration comes from a JSON file (--config, else $BURNLAB_CONFIG); any
 flag given on the command line wins over the file.  The cancellation
 parameters are re-validated on every load, so a bad config dies with the
 violated constraint named.  Sampling commands refuse to run without a seed.
-Artifacts produced with the same config and seed are byte-identical, and
---workers never changes output bytes, only wall time.
+Artifacts produced with the same config and seed are byte-identical.
+Evaluation is sequential: --workers is accepted for compatibility and has no
+effect (a thread pool was measured slower, the work being pure Python under
+the GIL).
 
 Exit codes: 0 success, 1 invariant violation, 2 input or state error.
 """
@@ -20,7 +22,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -164,7 +165,7 @@ def cmd_build(cfg: SessionConfig, args: argparse.Namespace) -> int:
     if args.max_rank < 0:
         raise InputError("--max-rank must be >= 0")
     pres, reports = GradedPresentation.build(
-        cfg.alphabet, cfg.params, args.max_rank, cfg.budget, workers=args.workers)
+        cfg.alphabet, cfg.params, args.max_rank, cfg.budget)
     _write_artifact(_out_path(cfg, args, "presentation.json"), pres.to_json() + "\n")
 
     lines = ["build report",
@@ -202,21 +203,8 @@ def cmd_density(cfg: SessionConfig, args: argparse.Namespace) -> int:
     pres = _load_presentation(cfg, args)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise InputError("need 0 <= --n-min <= --n-max")
-    ns = list(range(args.n_min, args.n_max + 1))
-    if args.workers > 1:
-        # each worker gets a private presentation so the oracle caches are
-        # unshared; rows merge in n order, so bytes match the 1-worker run
-        text = pres.to_json()
-
-        def job(n: int):
-            return density_HG(GradedPresentation.from_json(text), args.rank, n,
-                              cfg.budget, method=args.method)
-
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(job, ns))
-    else:
-        rows = [density_HG(pres, args.rank, n, cfg.budget, method=args.method)
-                for n in ns]
+    rows = [density_HG(pres, args.rank, n, cfg.budget, method=args.method)
+            for n in range(args.n_min, args.n_max + 1)]
     for r in rows:
         print("n=%d: ball %d, H^G in [%d, %d], ratio [%s, %s], bound %d"
               % (r.n, r.ball, r.hg_lo, r.hg_hi, r.ratio_lo, r.ratio_hi,
@@ -387,7 +375,7 @@ def _common_parser() -> argparse.ArgumentParser:
     g.add_argument("--out-dir", help="artifact directory (default .)")
     g.add_argument("--format", choices=("csv", "json"), help="artifact format")
     g.add_argument("--workers", type=int, default=1,
-                   help="worker threads; never changes output bytes")
+                   help="accepted for compatibility; evaluation is sequential")
     p = common.add_argument_group("cancellation parameters")
     p.add_argument("--k", dest="param_k", type=int, help="relator exponent, odd")
     for name in ("alpha", "beta", "gamma", "epsilon", "zeta"):

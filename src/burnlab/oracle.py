@@ -40,6 +40,7 @@ from .words import (
     Alphabet,
     Word,
     cyclic_reduce_letters,
+    cyclic_split_reduced,
     exponent_vector,
     format_letters,
     inverse_letters,
@@ -468,7 +469,7 @@ class RankOracle:
                     while l < lmax and T[l] == w[p + l]:
                         l += 1
                     for ov in range(1, l + 1):
-                        succ = splice_reduce(w[:p], inverse_letters(T[ov:]), w[p + ov :])
+                        succ = splice_reduce(w[:p], inv[ci][: len(T) - ov], w[p + ov :])
                         yield succ, (p, ci, ov)
             for ci in range(len(contexts)):
                 succ = splice_reduce(w[:p], inv[ci], w[p:])
@@ -489,12 +490,15 @@ class RankOracle:
                     while l < lmax and T[l] == v[l]:
                         l += 1
                     for ov in range(1, l + 1):
-                        lin = splice_reduce((), inverse_letters(T[ov:]), v[ov:])
-                        core, _ = cyclic_reduce_letters(lin)
-                        yield min_rotation(core), (start, ci, ov)
+                        lin = splice_reduce((), inv[ci][: len(T) - ov], v[ov:])
+                        core, _ = cyclic_split_reduced(lin)
+                        # an over-cap core is still yielded (and so counted
+                        # as an application) but never canonicalised: the
+                        # closure discards it by length alone
+                        yield (core if len(core) > cap else min_rotation(core)), (start, ci, ov)
             for ci in range(len(contexts)):
                 lin = splice_reduce((), inv[ci], v)
-                core, _ = cyclic_reduce_letters(lin)
+                core, _ = cyclic_split_reduced(lin)
                 if len(core) <= cap:
                     yield min_rotation(core), (start, ci, 0)
 
@@ -859,22 +863,3 @@ def find_conjugator(oracle: RankOracle, u: Sequence[int] | Word, v: Sequence[int
         if oracle.equal(cand, tv, budget).is_yes:
             return Word(z)
     return None
-
-
-# presentation-facing wrappers (duck-typed: anything with .oracle(rank))
-
-
-def equal_in_rank(presentation, u, v, rank: int, budget: Optional[OracleBudget] = None) -> Verdict:
-    return presentation.oracle(rank).equal(u, v, budget)
-
-
-def conjugate_in_rank(presentation, u, v, rank: int, budget: Optional[OracleBudget] = None) -> Verdict:
-    return presentation.oracle(rank).conjugate(u, v, budget)
-
-
-def conjugate_into_H(presentation, u, rank: int, budget: Optional[OracleBudget] = None) -> Verdict:
-    return presentation.oracle(rank).conjugate_into_ab(u, budget)
-
-
-def norm(presentation, u, rank: int, budget: Optional[OracleBudget] = None) -> NormBounds:
-    return presentation.oracle(rank).norm(u, budget)

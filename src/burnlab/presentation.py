@@ -41,11 +41,71 @@ MAX_RELATOR_LETTERS = 10_000
 def _fraction_field(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError("expected an exact rational, got %r" % (value,))
+
+
+_REQUIRED = object()
+# the field kinds read_field knows, with the noun its messages use
+_FIELD_KINDS = {"int": "an integer", "bool": "true or false",
+                "rational": "an exact rational", "list": "a list",
+                "strings": "a list of strings", "object": "an object"}
+
+
+def read_field(doc, path: str, kind: str, default=_REQUIRED):
+    """Typed reader for one field of a JSON document.
+
+    `path` names the field from the document root, dotted, with list
+    indices in brackets (``ranks[0].periods``); its last component is the
+    key read from the object `doc`.  `kind` is a key of `_FIELD_KINDS`.
+    Integers must be integral (3.0 reads as 3, 3.5 is refused).  Every
+    failure raises InputError naming the path.
+
+    >>> read_field({"k": 5.0}, "params.k", "int")
+    5
+    >>> read_field({"k": 3.5}, "params.k", "int")
+    Traceback (most recent call last):
+    ...
+    burnlab.errors.InputError: field params.k must be an integer, got 3.5
+    """
+    parent, _, key = path.rpartition(".")
+    if not isinstance(doc, dict):
+        raise InputError("%s must be an object, got %s"
+                         % ("field " + parent if parent else "document root", _short(doc)))
+    if key not in doc:
+        if default is _REQUIRED:
+            raise InputError("missing field %s" % path)
+        return default
+    value = doc[key]
+    if kind == "int":
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind == "rational":
+        try:
+            value = _fraction_field(value)
+            ok = True
+        except InputError:
+            ok = False
+    elif kind == "strings":
+        ok = isinstance(value, list) and all(isinstance(x, str) for x in value)
+    else:
+        ok = isinstance(value, {"bool": bool, "list": list, "object": dict}[kind])
+    if not ok:
+        raise InputError("field %s must be %s, got %s"
+                         % (path, _FIELD_KINDS[kind], _short(value)))
+    return value
+
+
+def _short(value) -> str:
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 @dataclass(frozen=True)
@@ -138,19 +198,16 @@ class SmallCancellationParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SmallCancellationParams":
-        try:
-            return cls(
-                k=int(data["k"]),
-                alpha=_fraction_field(data["alpha"]),
-                beta=_fraction_field(data["beta"]),
-                gamma=_fraction_field(data["gamma"]),
-                epsilon=_fraction_field(data["epsilon"]),
-                zeta=_fraction_field(data["zeta"]),
-                h=int(data["h"]),
-                allow_small_k=bool(data.get("allow_small_k", False)),
-            )
-        except KeyError as exc:
-            raise InputError("params block missing field %s" % exc)
+        return cls(
+            k=read_field(data, "params.k", "int"),
+            alpha=read_field(data, "params.alpha", "rational"),
+            beta=read_field(data, "params.beta", "rational"),
+            gamma=read_field(data, "params.gamma", "rational"),
+            epsilon=read_field(data, "params.epsilon", "rational"),
+            zeta=read_field(data, "params.zeta", "rational"),
+            h=read_field(data, "params.h", "int"),
+            allow_small_k=read_field(data, "params.allow_small_k", "bool", False),
+        )
 
 
 @dataclass(frozen=True)
@@ -180,17 +237,6 @@ class StructureReport:
     ok: bool
     failures: tuple[tuple[str, int, str], ...]
     approximate_ranks: tuple[int, ...]
-
-
-def _is_free_proper_power(t: tuple[int, ...]) -> bool:
-    n = len(t)
-    if n < 2:
-        return False
-    doubled = t + t
-    for i in range(1, n):
-        if n % i == 0 and doubled[i : i + n] == t:
-            return True
-    return False
 
 
 def _free_period(t: tuple[int, ...]) -> tuple[int, ...]:
@@ -309,7 +355,7 @@ class GradedPresentation:
         if not core:
             return SimplicityVerdict("not-simple", "shorter-or-power", "freely trivial")
         w = min_rotation(core)
-        if _is_free_proper_power(w):
+        if _free_period(w) != w:
             return SimplicityVerdict("not-simple", "free-power",
                                      "%s is a free power" % Word(w).format())
         if all(is_ab_letter(x) for x in w):
@@ -361,27 +407,16 @@ class GradedPresentation:
 
     # building --------------------------------------------------------------
 
-    def build_next_rank(self, budget: Optional[OracleBudget] = None,
-                        workers: int = 1) -> BuildReport:
-        """Admit the next rank of periods.  Candidate evaluation is pure and
-        may run on several threads; admission itself is serialized in shortlex
-        order, so the result never depends on the worker count."""
+    def build_next_rank(self, budget: Optional[OracleBudget] = None) -> BuildReport:
+        """Admit the next rank of periods.  Candidates are evaluated one after
+        another and admitted in shortlex order.  (A thread pool was measured
+        slower: the evaluation is pure-Python work under the GIL.)"""
         rank = self.max_rank
         n = rank + 1
         oracle = self.oracle(rank)
         budget = budget or oracle.default_budget
         candidates = canonical_cyclic_candidates(self.alphabet, n)
-
-        def evaluate(t: tuple[int, ...]) -> SimplicityVerdict:
-            return self.is_simple(Word(t), rank, budget)
-
-        if workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                verdicts = list(pool.map(evaluate, candidates))
-        else:
-            verdicts = [evaluate(t) for t in candidates]
+        verdicts = [self.is_simple(Word(t), rank, budget) for t in candidates]
 
         admitted: list[Word] = []
         records: list[CandidateRecord] = []
@@ -427,14 +462,14 @@ class GradedPresentation:
 
     @classmethod
     def build(cls, alphabet: Alphabet, params: SmallCancellationParams, up_to_rank: int,
-              budget: Optional[OracleBudget] = None, workers: int = 1
+              budget: Optional[OracleBudget] = None
               ) -> tuple["GradedPresentation", list[BuildReport]]:
         if up_to_rank < 0:
             raise InputError("up_to_rank must be >= 0")
         pres = cls(alphabet, params)
         reports = []
         for _ in range(up_to_rank):
-            reports.append(pres.build_next_rank(budget=budget, workers=workers))
+            reports.append(pres.build_next_rank(budget=budget))
         return pres, reports
 
     # verification ------------------------------------------------------------
@@ -523,19 +558,19 @@ class GradedPresentation:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradedPresentation":
-        try:
-            alphabet = Alphabet(int(data["alphabet"]["m"]))
-            params = SmallCancellationParams.from_dict(data["params"])
-            rank_blocks = data["ranks"]
-        except (KeyError, TypeError) as exc:
-            raise InputError("malformed presentation document: %s" % exc)
+        alphabet = Alphabet(read_field(read_field(data, "alphabet", "object"),
+                                       "alphabet.m", "int"))
+        params = SmallCancellationParams.from_dict(read_field(data, "params", "object"))
         ranks: list[tuple[list[Word], bool]] = []
-        for pos, block in enumerate(rank_blocks, start=1):
-            if int(block.get("rank", -1)) != pos:
+        for pos, block in enumerate(read_field(data, "ranks", "list"), start=1):
+            where = "ranks[%d]" % (pos - 1)
+            rank = read_field(block, where + ".rank", "int")
+            if rank != pos:
                 raise InputError("rank blocks must be contiguous from 1, got %r at %d"
-                                 % (block.get("rank"), pos))
-            periods = [alphabet.parse(s) for s in block["periods"]]
-            ranks.append((periods, bool(block.get("approximate", False))))
+                                 % (rank, pos))
+            periods = [alphabet.parse(text)
+                       for text in read_field(block, where + ".periods", "strings")]
+            ranks.append((periods, read_field(block, where + ".approximate", "bool", False)))
         return cls(alphabet, params, ranks)
 
     @classmethod

@@ -23,9 +23,19 @@ from typing import Optional, Sequence
 from .cayley import FLAG_EXACT, enumerate_ball
 from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem, Verdict
-from .words import Word, inverse_letters, reduce_letters, splice_reduce
+from .words import (
+    Word,
+    cyclic_split_reduced,
+    inverse_letters,
+    power_letters,
+    reduce_letters,
+    splice_reduce,
+)
 
 _Z95 = 1.959963984540054
+
+# a parsed law (and every exponent in it) stays within this many letters
+MAX_LAW_LETTERS = 10_000
 
 
 class GroupLaw:
@@ -120,6 +130,9 @@ def _tokenize_law(text: str):
                 k += 1
             if k == j:
                 raise InputError("^ needs an integer exponent")
+            # count digits before int(): huge literals are slow or refused
+            if k - j > len(str(MAX_LAW_LETTERS)) or int(text[j:k]) > MAX_LAW_LETTERS:
+                raise InputError("law exponent exceeds %d" % MAX_LAW_LETTERS)
             toks.append(("pow", int(text[i + 1:k])))
             i = k
         else:
@@ -153,13 +166,13 @@ def _parse_product(toks, pos, stop):
         if pos < len(toks) and isinstance(toks[pos], tuple) and toks[pos][0] == "pow":
             k = toks[pos][1]
             pos += 1
-            base = inner
-            inner = ()
-            for _ in range(abs(k)):
-                inner = reduce_letters(inner + base)
-            if k < 0:
-                inner = inverse_letters(inner)
-        letters = reduce_letters(letters + inner)
+            core, _ = cyclic_split_reduced(inner)
+            if len(core) * abs(k) > MAX_LAW_LETTERS:
+                raise InputError("law expands past %d letters" % MAX_LAW_LETTERS)
+            inner = power_letters(inner, k)
+        letters = splice_reduce(letters, inner, ())
+        if len(letters) > MAX_LAW_LETTERS:
+            raise InputError("law expands past %d letters" % MAX_LAW_LETTERS)
     return letters, pos
 
 

@@ -95,11 +95,37 @@ def cyclic_reduce_letters(t: Sequence[int]) -> tuple[tuple[int, ...], tuple[int,
     t = tuple(t)
     if not is_reduced(t):
         t = reduce_letters(t)
+    return cyclic_split_reduced(t)
+
+
+def cyclic_split_reduced(t: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """`cyclic_reduce_letters` for a tuple already known to be freely reduced
+    (skips the reducedness check).
+
+    >>> cyclic_split_reduced((-2, 1, 3, 2))
+    ((1, 3), (-2,))
+    """
     i, j = 0, len(t)
     while j - i >= 2 and t[i] == -t[j - 1]:
         i += 1
         j -= 1
     return t[i:j], t[:i]
+
+
+def power_letters(t: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The n-th power of a reduced word, built in linear time: with
+    t = conj * core * conj^-1, t^n = conj * core^n * conj^-1, and core^n
+    needs no reduction because core is cyclically reduced.
+
+    >>> power_letters((3, 1, 2, -3), 2)
+    (3, 1, 2, 1, 2, -3)
+    >>> power_letters((1, 2), -2)
+    (-2, -1, -2, -1)
+    """
+    core, conj = cyclic_split_reduced(t if n >= 0 else inverse_letters(t))
+    if not n or not core:
+        return ()
+    return conj + core * abs(n) + inverse_letters(conj)
 
 
 def rotations(t: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -110,18 +136,31 @@ def rotations(t: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def min_rotation(t: Sequence[int]) -> tuple[int, ...]:
     """Shortlex-least rotation (all rotations have equal length, so lex-least
-    under the letter order)."""
+    under the letter order).
+
+    Only rotations starting at a least letter can win; they are compared as
+    slices of the doubled key tuple.
+
+    >>> min_rotation((3, 1, 3, 1))
+    (1, 3, 1, 3)
+    >>> min_rotation((2, 1, 3, 1))
+    (1, 2, 1, 3)
+    """
     t = tuple(t)
-    if len(t) <= 1:
+    n = len(t)
+    if n <= 1:
         return t
-    best = t
-    best_key = tuple(letter_key(x) for x in t)
-    for i in range(1, len(t)):
-        cand = t[i:] + t[:i]
-        key = tuple(letter_key(x) for x in cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+    keys = tuple(map(letter_key, t))
+    least = min(keys)
+    doubled = keys + keys
+    best = keys.index(least)
+    best_key = doubled[best : best + n]
+    for i in range(best + 1, n):
+        if keys[i] == least:
+            cand = doubled[i : i + n]
+            if cand < best_key:
+                best, best_key = i, cand
+    return t[best:] + t[:best]
 
 
 def shortlex_key(t: Sequence[int]) -> tuple:
@@ -269,13 +308,7 @@ class Word:
         return Word._raw(inverse_letters(self.letters))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word._raw(())
-        base = self.letters if n > 0 else inverse_letters(self.letters)
-        out: tuple[int, ...] = ()
-        for _ in range(abs(n)):
-            out = splice_reduce(out, base, ())
-        return Word._raw(out)
+        return Word._raw(power_letters(self.letters, n))
 
     def conjugate_by(self, z: "Word") -> "Word":
         """z * self * z^-1."""
@@ -313,11 +346,6 @@ def reduce(word: Word | Sequence[int]) -> Word:
     if isinstance(word, Word):
         return word
     return Word(word)
-
-
-def restricted_to_ab(word: Word) -> bool:
-    """Membership of the written word in the {a, b} subalphabet."""
-    return word.is_ab()
 
 
 class CyclicWord:
@@ -363,22 +391,6 @@ class CyclicWord:
 
     def is_ab(self) -> bool:
         return all(is_ab_letter(x) for x in self.rep)
-
-    def contains_subword(self, y: Word | Sequence[int]) -> bool:
-        """Cyclic subword test: y occurs in some rotation of the cycle.
-        Checked by searching y inside rep doubled, occurrence starting within
-        the first len(rep) positions."""
-        pat = tuple(y.letters if isinstance(y, Word) else y)
-        n = len(self.rep)
-        if len(pat) > n:
-            return False
-        if not pat:
-            return True
-        doubled = self.rep + self.rep
-        for i in range(n):
-            if doubled[i : i + len(pat)] == pat:
-                return True
-        return False
 
     def __repr__(self) -> str:
         return "CyclicWord(%r)" % format_letters(self.rep)
@@ -459,9 +471,6 @@ class Alphabet:
 
     def parse(self, text: str) -> Word:
         return self.validate_word(Word.parse(text))
-
-    def format(self, word: Word) -> str:
-        return word.format()
 
     def __repr__(self) -> str:
         return "Alphabet(m=%d)" % self.m

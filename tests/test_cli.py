@@ -158,6 +158,15 @@ class TestLawprob:
         assert (tmp_path / "a" / "lawprob.json").read_bytes() == \
             (tmp_path / "b" / "lawprob.json").read_bytes()
 
+    def test_over_cap_exponent_exits_2(self, workspace, tmp_path, capsys):
+        rc = cli.main(["lawprob", "--law", "x1^99999", "--mode", "exhaustive",
+                       "--rank", "1", "--radius", "1",
+                       "--presentation", presentation_path(workspace, 1),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "law exponent exceeds 10000" in err
+
 
 class TestRwalk:
     def test_runs_and_is_deterministic(self, workspace, tmp_path):
@@ -242,6 +251,28 @@ class TestStructure:
         data = json.loads((tmp_path / "structure.json").read_text())
         assert not data["ok"]
         assert any(f["check"] == "P3" for f in data["failures"])
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("alphabet", "m"), "x", "field alphabet.m must be an integer"),
+        (("params", "alpha"), "1/0", "field params.alpha must be an exact rational"),
+        (("ranks", 0, "periods"), 5, "field ranks[0].periods must be a list of strings"),
+        (("ranks",), "x", "field ranks must be a list"),
+        (("params", "k"), 3.5, "field params.k must be an integer, got 3.5"),
+    ])
+    def test_malformed_presentation_exits_2(self, workspace, tmp_path, capsys,
+                                            path, value, message):
+        doc = json.loads(Path(presentation_path(workspace, 1)).read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(["structure", "--presentation", str(bad),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 class TestConfig:

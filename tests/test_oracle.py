@@ -253,6 +253,24 @@ class TestBudgets:
         assert v.is_unknown and v.witness is None and v.certificate is None
         assert not v.budget_used.complete
 
+    def test_cyclic_closure_counts_over_cap_moves(self, p_k3_m1_r2):
+        # values recorded before over-cap successors stopped being
+        # canonicalised: 152 of the 326 applications are over the cap, and
+        # they must still be charged to the budget
+        oracle = RankOracle(p_k3_m1_r2.relator_system(2))
+        start = Word.parse("a.s1.b.s1").letters
+        comp = oracle._closure(start, 6, OracleBudget(), cyclic=True)
+        assert comp.complete
+        assert (comp.applications, comp.states) == (326, 11)
+        assert sorted(Word._raw(t).format() for t in comp.parents) == [
+            "A.B.s1.B.A.s1", "A.b.A.S1", "A.b.A.s1.s1", "A.s1.A.S1.b.S1",
+            "a.B.S1.B", "a.B.s1.s1.B", "a.S1.B.s1.B.S1", "a.S1.S1.b.S1.S1",
+            "a.S1.S1.b.s1", "a.s1.b.S1.S1", "a.s1.b.s1",
+        ]
+        over_cap = sum(len(succ) > 6 for member in comp.parents
+                       for succ, _ in oracle._cyclic_successors(member, 6))
+        assert over_cap == 152
+
 
 class TestConjugators:
     def test_find_conjugator_closes_the_loop(self, o1, budget):

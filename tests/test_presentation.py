@@ -219,10 +219,3 @@ class TestBuildDriver:
     def test_negative_rank_rejected(self, budget):
         with pytest.raises(InputError):
             GradedPresentation.build(Alphabet(1), small_k_params(), -1, budget)
-
-    def test_build_workers_do_not_change_periods(self, budget):
-        seq, _ = GradedPresentation.build(Alphabet(1), small_k_params(), 2,
-                                          budget, workers=1)
-        par, _ = GradedPresentation.build(Alphabet(1), small_k_params(), 2,
-                                          budget, workers=8)
-        assert seq.to_json() == par.to_json()

@@ -64,6 +64,22 @@ class TestGroupLaw:
         with pytest.raises(InputError):
             GroupLaw.parse("x1)")
 
+    def test_large_exponents_parse_in_linear_time(self):
+        # the repeated-product parser took seconds at these sizes
+        assert GroupLaw.parse("x1^8000").letters == (1,) * 8000
+        assert GroupLaw.parse("x1 " * 8000).letters == (1,) * 8000
+        law = GroupLaw.parse("(x2 x1 X2)^-9000")
+        assert law.letters == (2,) + (-1,) * 9000 + (-2,)
+        assert GroupLaw.parse("(x1 x2)^2 (X2 X1)^2 x1").letters == (1,)
+        assert (Word.parse("b.s1.s1.B") ** -4000).letters == \
+            (2,) + (-3,) * 8000 + (-2,)
+
+    def test_exponent_and_length_capped(self):
+        for bad in ("x1^10001", "x1^-10001", "x1^" + "9" * 5000,
+                    "(x1 x2)^5001", "(x1^10000)^10000"):
+            with pytest.raises(InputError):
+                GroupLaw.parse(bad)
+
     def test_text_preserved(self):
         assert GroupLaw.parse("x1^3").text == "x1^3"
         assert GroupLaw((1, 1)).text == "x1 x1"

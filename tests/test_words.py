@@ -10,6 +10,7 @@ from burnlab.words import (
     CyclicWord,
     Word,
     cyclic_reduce_letters,
+    cyclic_split_reduced,
     cyclically_reduced_words,
     exponent_vector,
     free_ball_size,
@@ -33,6 +34,18 @@ A2 = Alphabet(2)
 
 letters_m1 = st.sampled_from([1, -1, 2, -2, 3, -3])
 raw_m1 = st.lists(letters_m1, max_size=12)
+# random words plus periodic ones (a block repeated), whose rotations tie
+any_m1 = st.one_of(
+    st.lists(letters_m1, max_size=40),
+    st.builds(lambda block, reps: block * reps,
+              st.lists(letters_m1, min_size=1, max_size=6), st.integers(2, 6)),
+)
+
+
+def brute_min_rotation(t):
+    """Reference: every rotation compared by its letter_key tuple."""
+    t = tuple(t)
+    return min(rotations(t), key=lambda r: tuple(letter_key(x) for x in r))
 
 
 class TestReduction:
@@ -92,11 +105,31 @@ class TestCyclic:
 
     @given(raw_m1)
     def test_min_rotation_is_a_rotation_and_minimal(self, seq):
-        _, core = cyclic_reduce_letters(reduce_letters(seq))
+        core, _ = cyclic_reduce_letters(reduce_letters(seq))
         rep = min_rotation(core)
         rots = list(rotations(core))
         assert rep in rots
         assert all(shortlex_key(rep) <= shortlex_key(r) for r in rots)
+
+    @given(any_m1)
+    @settings(max_examples=300)
+    def test_min_rotation_matches_brute_force(self, seq):
+        # raw sequences on purpose: min_rotation orders any tuple
+        assert min_rotation(seq) == brute_min_rotation(seq)
+
+    @given(st.lists(letters_m1, min_size=1, max_size=5), st.integers(1, 8))
+    def test_min_rotation_of_a_power_is_a_power(self, block, reps):
+        core, _ = cyclic_reduce_letters(reduce_letters(block))
+        if core:
+            assert min_rotation(core * reps) == min_rotation(core) * reps
+
+    @given(raw_m1)
+    def test_split_reduced_matches_cyclic_reduce(self, seq):
+        t = reduce_letters(seq)
+        core, conj = t, ()
+        while len(core) >= 2 and core[0] == -core[-1]:
+            core, conj = core[1:-1], conj + core[:1]
+        assert cyclic_split_reduced(t) == (core, conj) == cyclic_reduce_letters(t)
 
     @given(raw_m1, raw_m1)
     def test_cyclic_word_ignores_conjugation(self, seq, zseq):
