@@ -23,6 +23,12 @@ Search moves are Dehn-style: a relator application replaces a matched prefix
 of a rotated relator by the inverse of its complement.  Every such move
 equals inserting one whole rotated relator and then freely cancelling, which
 is exactly what traces record and the replayer performs.
+
+The move budget counts moves in a fixed enumeration order, including moves
+whose result is over the length cap or repeats an earlier move of the same
+state.  Such moves are counted arithmetically and never built: a successor's
+reduced length follows from the overlap and the seam cancellations, and all
+overlaps of one context at one position give the same word.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import heapq
 import json
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -45,8 +52,10 @@ from .words import (
     format_letters,
     inverse_letters,
     is_ab_letter,
+    is_cyclically_reduced,
     min_rotation,
     parse_letters,
+    reduce_letters,
     shortlex_key,
     splice_reduce,
 )
@@ -65,7 +74,12 @@ class OracleBudget:
 
     max_ball_radius: extra reduced length, above the query words, that the
         rewriting search may visit.
-    max_relator_applications: number of candidate rewriting moves generated.
+    max_relator_applications: number of rewriting moves enumerated.  The
+        linear search counts every (position, context, overlap) move; the
+        cyclic search counts every overlap move and every whole-relator
+        insertion whose result is within the cap.  Moves are counted, not
+        necessarily built: a move over the cap or repeating an earlier move
+        of the same state is counted without constructing its word.
     max_conjugator_length: recorded bound for conjugacy searches; None means
         ceil(alpha_bar * (|U| + |V|)) computed per query.
     time_cap: optional wall-clock seconds; using it trades determinism away.
@@ -156,6 +170,8 @@ class Relator:
     def __post_init__(self):
         if not self.word:
             raise InputError("relator %s is empty" % self.id)
+        if not is_cyclically_reduced(self.word):
+            raise InputError("relator %s is not cyclically reduced" % self.id)
 
 
 @dataclass(frozen=True)
@@ -259,6 +275,7 @@ class RelatorSystem:
             by_first.setdefault(c.letters[0], []).append(i)
         self.by_first = {k: tuple(v) for k, v in by_first.items()}
         self.max_relator_len = max((len(r.word) for r in self.relators), default=0)
+        self._insertion_candidates: dict[tuple, tuple[int, ...]] = {}
         self.lattice = IntegerLattice(
             [exponent_vector(r.word, alphabet.size) for r in self.relators], alphabet.size
         )
@@ -281,6 +298,26 @@ class RelatorSystem:
             run = _cyclic_ab_run(rel.word)
             margins.append(len(rel.word) - 6 * run)
         self.ab_margin = min(margins) if margins else None
+
+    def insertion_candidates(self, room: int, before: tuple[int, ...], right: int) -> tuple[int, ...]:
+        """Ascending indices of the contexts T whose whole-relator insertion
+        T^-1 just before the letter `right` may stay within `room` extra
+        letters, and is not also an overlap move (T does not start with
+        `right`).  Over the room, the insertion must cancel at least
+        ceil((|T| - room) / 2) letters of its left neighbours `before`, so T
+        must end with the last min(2, |before|, that many) of them; a 0 in
+        `before` marks a word boundary, where cancelling stops."""
+        key = (room, before, right)
+        hit = self._insertion_candidates.get(key)
+        if hit is None:
+            out = []
+            for i, c in enumerate(self.contexts):
+                T = c.letters
+                need = min(2, len(before), (len(T) - room + 1) // 2)
+                if T[0] != right and (need <= 0 or T[-need:] == before[-need:]):
+                    out.append(i)
+            hit = self._insertion_candidates[key] = tuple(out)
+        return hit
 
     def relator_by_id(self, rid: str) -> Relator:
         try:
@@ -454,53 +491,84 @@ class RankOracle:
         self._cyc: tuple[dict, dict] = ({}, {})
 
     # successor generation -------------------------------------------------
+    #
+    # Both generators number the moves of a state 1, 2, ... in a fixed
+    # enumeration order; the budget charges that number.  They yield
+    # (succ, move, ordinal) only for moves whose result is within the cap and
+    # not a repeat of an earlier overlap of the same context at the same
+    # place, then (None, None, total).  The moves of one context T matching
+    # the word on l letters there, ov = 1..l and the insertion ov = 0, all
+    # give (T[l:])^-1 followed by the rest of the word, so only ov = 1 is
+    # built; every other move is counted without constructing its word.
 
-    def _linear_successors(self, w: tuple[int, ...], cap: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    def _linear_successors(self, w: tuple[int, ...], cap: int) -> Iterator[tuple]:
+        """At each position p: the overlap moves (p, ci, ov), ov = 1..l, of
+        every context matching w[p:] on l letters, then the insertions
+        (p, ci, 0) of every context."""
         sys_ = self.system
         contexts = sys_.contexts
         inv = sys_._inv_context_letters
         n = len(w)
+        padded = (0, 0) + w  # 0 marks the word boundary, where cancelling stops
+        done = 0
         for p in range(n + 1):
-            if p < n:
-                for ci in sys_.by_first.get(w[p], ()):
-                    T = contexts[ci].letters
-                    lmax = min(len(T), n - p)
-                    l = 0
-                    while l < lmax and T[l] == w[p + l]:
-                        l += 1
-                    for ov in range(1, l + 1):
-                        succ = splice_reduce(w[:p], inv[ci][: len(T) - ov], w[p + ov :])
-                        yield succ, (p, ci, ov)
-            for ci in range(len(contexts)):
-                succ = splice_reduce(w[:p], inv[ci], w[p:])
-                yield succ, (p, ci, 0)
+            right = w[p] if p < n else 0
+            for ci in sys_.by_first.get(right, ()):
+                T = contexts[ci].letters
+                lmax = min(len(T), n - p)
+                l = 1
+                while l < lmax and T[l] == w[p + l]:
+                    l += 1
+                # over the cap unless a letter cancels at the left seam
+                # (a cyclic core may shrink further, so the cyclic
+                # generator has no such test)
+                if n + len(T) - 2 * l <= cap or (p and w[p - 1] == T[-1]):
+                    succ = _linear_splice(w, p, T, inv[ci], l, cap)
+                    if succ is not None:
+                        yield succ, (p, ci, 1), done + 1
+                done += l
+            for ci in sys_.insertion_candidates(cap - n, padded[p : p + 2], right):
+                succ = _linear_splice(w, p, contexts[ci].letters, inv[ci], 0, cap)
+                if succ is not None:
+                    yield succ, (p, ci, 0), done + ci + 1
+            done += len(contexts)
+        yield None, None, done
 
-    def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> Iterator[tuple]:
+        """For each rotation v = w[start:] + w[:start]: the overlap moves
+        (start, ci, ov), ov = 1..l, of every context matching v on l letters,
+        then the insertions (start, ci, 0) whose core is within the cap (an
+        insertion over the cap is not counted).  Results are canonical
+        rotations of cyclic cores."""
         sys_ = self.system
         contexts = sys_.contexts
         inv = sys_._inv_context_letters
         n = len(w)
+        done = 0
         for start in range(max(1, n)):
             v = w[start:] + w[:start]
-            if n:
-                for ci in sys_.by_first.get(v[0], ()):
-                    T = contexts[ci].letters
-                    lmax = min(len(T), n)
-                    l = 0
-                    while l < lmax and T[l] == v[l]:
-                        l += 1
-                    for ov in range(1, l + 1):
-                        lin = splice_reduce((), inv[ci][: len(T) - ov], v[ov:])
-                        core, _ = cyclic_split_reduced(lin)
-                        # an over-cap core is still yielded (and so counted
-                        # as an application) but never canonicalised: the
-                        # closure discards it by length alone
-                        yield (core if len(core) > cap else min_rotation(core)), (start, ci, ov)
-            for ci in range(len(contexts)):
-                lin = splice_reduce((), inv[ci], v)
-                core, _ = cyclic_split_reduced(lin)
-                if len(core) <= cap:
-                    yield min_rotation(core), (start, ci, 0)
+            right = v[0] if n else 0
+            repeats = []  # contexts whose insertion repeats an in-cap overlap move
+            for ci in sys_.by_first.get(right, ()):
+                T = contexts[ci].letters
+                lmax = min(len(T), n)
+                l = 1
+                while l < lmax and T[l] == v[l]:
+                    l += 1
+                core = _cyclic_splice(v, T, inv[ci], l, cap)
+                if core is not None:
+                    yield core, (start, ci, 1), done + 1
+                    repeats.append(ci)
+                done += l
+            built = 0
+            # v wraps around, so no boundary stops the trimming
+            for ci in sys_.insertion_candidates(cap - n, v[-2:], right):
+                core = _cyclic_splice(v, contexts[ci].letters, inv[ci], 0, cap)
+                if core is not None:
+                    built += 1
+                    yield core, (start, ci, 0), done + built + bisect_left(repeats, ci)
+            done += built + len(repeats)
+        yield None, None, done
 
     # closure ---------------------------------------------------------------
 
@@ -547,23 +615,28 @@ class RankOracle:
             return comp
 
         successors = self._cyclic_successors if cyclic else self._linear_successors
-        heap = [(shortlex_key(start), start)]
+        max_applications = budget.max_relator_applications
+        min_key = shortlex_key(start)
+        heap = [(min_key, start)]
         stopped = False
         while heap:
             _, w = heapq.heappop(heap)
-            for succ, move in successors(w, cap):
-                comp.applications += 1
-                if comp.applications > budget.max_relator_applications:
+            base = comp.applications
+            for succ, move, ordinal in successors(w, cap):
+                if base + ordinal > max_applications:
+                    comp.applications = max_applications + 1
                     comp.complete = False
                     stopped = True
                     break
-                if len(succ) > cap or succ in comp.parents:
+                comp.applications = base + ordinal
+                if succ is None or succ in comp.parents:
                     continue
                 comp.parents[succ] = (w, move)
                 comp.states += 1
-                if shortlex_key(succ) < shortlex_key(comp.min_word):
-                    comp.min_word = succ
-                heapq.heappush(heap, (shortlex_key(succ), succ))
+                key = shortlex_key(succ)
+                if key < min_key:
+                    comp.min_word, min_key = succ, key
+                heapq.heappush(heap, (key, succ))
                 if target is not None and succ == target:
                     comp.complete = False
                     stopped = True
@@ -651,6 +724,16 @@ class RankOracle:
     def _budget(self, budget: Optional[OracleBudget]) -> OracleBudget:
         return budget or self.default_budget
 
+    def _linear_cap(self, w: tuple[int, ...], budget: OracleBudget) -> int:
+        """Length cap of a linear search from w: the ball radius above |w|,
+        lowered below the ab margin for a nonempty word over {a, b}, whose
+        component `_closure` then knows from the margin alone."""
+        slack = budget.max_ball_radius
+        margin = self.system.ab_margin
+        if margin is not None and margin > 0 and w and all(is_ab_letter(x) for x in w):
+            slack = min(slack, margin - 1)
+        return len(w) + slack
+
     def _use(self, comp: _Component) -> BudgetUse:
         return BudgetUse(states=comp.states, applications=comp.applications,
                          cap=comp.cap, complete=comp.complete)
@@ -680,11 +763,7 @@ class RankOracle:
                 },
                 budget_used=BudgetUse(1, 0, len(w), True),
             )
-        slack = budget.max_ball_radius
-        margin = self.system.ab_margin
-        if margin is not None and margin > 0 and all(is_ab_letter(x) for x in w):
-            slack = min(slack, margin - 1)
-        cap = len(w) + slack
+        cap = self._linear_cap(w, budget)
         comp = self._closure(w, cap, budget, cyclic=False, target=())
         if () in comp.parents:
             return Verdict("yes", witness=self._trace(comp, (), w), budget_used=self._use(comp))
@@ -699,17 +778,12 @@ class RankOracle:
 
     def norm(self, u: Sequence[int] | Word, budget: Optional[OracleBudget] = None) -> NormBounds:
         budget = self._budget(budget)
-        w = splice_reduce(_letters(u), (), ())
+        w = _letters(u)
         if not w:
             return NormBounds(0, 0, True, budget_used=BudgetUse(1, 0, 0, True))
         if self.system.empty:
             return NormBounds(len(w), len(w), True, budget_used=BudgetUse(1, 0, len(w), True))
-        slack = budget.max_ball_radius
-        margin = self.system.ab_margin
-        if margin is not None and margin > 0 and all(is_ab_letter(x) for x in w):
-            slack = min(slack, margin - 1)
-        cap = len(w) + slack
-        comp = self._closure(w, cap, budget, cyclic=False)
+        comp = self._closure(w, self._linear_cap(w, budget), budget, cyclic=False)
         upper = len(comp.min_word)
         witness = None
         if upper < len(w):
@@ -724,14 +798,10 @@ class RankOracle:
         """Shortlex-least word in the bounded rewriting component; flag states
         whether the component was exhausted."""
         budget = self._budget(budget)
-        w = splice_reduce(_letters(u), (), ())
+        w = _letters(u)
         if self.system.empty:
             return w, True
-        slack = budget.max_ball_radius
-        margin = self.system.ab_margin
-        if margin is not None and margin > 0 and w and all(is_ab_letter(x) for x in w):
-            slack = min(slack, margin - 1)
-        comp = self._closure(w, len(w) + slack, budget, cyclic=False)
+        comp = self._closure(w, self._linear_cap(w, budget), budget, cyclic=False)
         return comp.min_word, comp.complete
 
     def cyclic_canonical(self, u: Sequence[int] | Word, cap: Optional[int] = None,
@@ -844,7 +914,47 @@ class RankOracle:
 def _letters(u: Sequence[int] | Word) -> tuple[int, ...]:
     if isinstance(u, Word):
         return u.letters
-    return splice_reduce(tuple(u), (), ())
+    return reduce_letters(u)
+
+
+def _linear_splice(w: tuple[int, ...], p: int, T: tuple[int, ...], T_inv: tuple[int, ...],
+                   l: int, cap: int) -> Optional[tuple[int, ...]]:
+    """w[:p] (T[l:])^-1 w[p+l:] freely reduced, or None when it is longer than
+    cap.  w[p:p+l] == T[:l] with l maximal, so only the left seam can cancel;
+    the length is |w| + |T| - 2l - 2 * (letters cancelled at that seam),
+    unless the inserted piece cancels completely, which leaves at most
+    |w| - |T| letters."""
+    L = len(T)
+    m = L - l
+    j, jmax = 0, min(p, m)
+    while j < jmax and w[p - 1 - j] == T[L - 1 - j]:
+        j += 1
+    a, b = p - j, p + l
+    if j == m:  # w[:a] now meets w[b:] and may cancel further
+        while a and b < len(w) and w[a - 1] == -w[b]:
+            a -= 1
+            b += 1
+    elif len(w) + m - l - 2 * j > cap:
+        return None
+    return w[:a] + T_inv[j:m] + w[b:]
+
+
+def _cyclic_splice(v: tuple[int, ...], T: tuple[int, ...], T_inv: tuple[int, ...],
+                   l: int, cap: int) -> Optional[tuple[int, ...]]:
+    """Canonical rotation of the cyclic core of (T[l:])^-1 v[l:], or None when
+    the core is longer than cap.  v is cyclically reduced and v[:l] == T[:l]
+    with l maximal, so the two pieces join without cancelling and only their
+    outer ends trim against each other; once one piece has trimmed away, the
+    rest of the other may trim further."""
+    n, L = len(v), len(T)
+    m = L - l
+    j, jmax = 0, min(m, n - l)
+    while j < jmax and v[n - 1 - j] == T[L - 1 - j]:
+        j += 1
+    if j < jmax and n + m - l - 2 * j > cap:
+        return None
+    core, _ = cyclic_split_reduced(T_inv[j:m] + v[l : n - j])
+    return min_rotation(core) if len(core) <= cap else None
 
 
 def find_conjugator(oracle: RankOracle, u: Sequence[int] | Word, v: Sequence[int] | Word,

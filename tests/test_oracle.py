@@ -2,10 +2,11 @@
 witnesses, refutation certificates, and budget monotonicity."""
 
 import copy
+import heapq
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnlab.errors import InputError
@@ -26,10 +27,13 @@ from burnlab.words import (
     Alphabet,
     Word,
     cyclic_reduce_letters,
+    cyclic_split_reduced,
     free_conjugate,
     is_ab_letter,
     min_rotation,
     reduced_words_up_to,
+    shortlex_key,
+    splice_reduce,
 )
 
 A1 = Alphabet(1)
@@ -37,6 +41,81 @@ ONE = Word(())
 
 letters_m1 = st.sampled_from([1, -1, 2, -2, 3, -3])
 raw_m1 = st.lists(letters_m1, max_size=8)
+
+
+# Reference move enumerators: every move of a state in enumeration order,
+# each built by splice_reduce.  The oracle's generators must yield exactly the
+# in-cap, non-repeated ones of these, under the same 1-based ordinals.
+
+def reference_linear_moves(system, w):
+    contexts, inv = system.contexts, system._inv_context_letters
+    n = len(w)
+    for p in range(n + 1):
+        if p < n:
+            for ci in system.by_first.get(w[p], ()):
+                T = contexts[ci].letters
+                lmax = min(len(T), n - p)
+                l = 0
+                while l < lmax and T[l] == w[p + l]:
+                    l += 1
+                for ov in range(1, l + 1):
+                    yield splice_reduce(w[:p], inv[ci][: len(T) - ov], w[p + ov:]), (p, ci, ov)
+        for ci in range(len(contexts)):
+            yield splice_reduce(w[:p], inv[ci], w[p:]), (p, ci, 0)
+
+
+def reference_cyclic_moves(system, w, cap):
+    """Overlap moves are all counted; an insertion only when its core is
+    within the cap.  Over-cap results are left uncanonicalised."""
+    contexts, inv = system.contexts, system._inv_context_letters
+    n = len(w)
+    for start in range(max(1, n)):
+        v = w[start:] + w[:start]
+        if n:
+            for ci in system.by_first.get(v[0], ()):
+                T = contexts[ci].letters
+                lmax = min(len(T), n)
+                l = 0
+                while l < lmax and T[l] == v[l]:
+                    l += 1
+                for ov in range(1, l + 1):
+                    core, _ = cyclic_split_reduced(splice_reduce((), inv[ci][: len(T) - ov], v[ov:]))
+                    yield (core if len(core) > cap else min_rotation(core)), (start, ci, ov)
+        for ci in range(len(contexts)):
+            core, _ = cyclic_split_reduced(splice_reduce((), inv[ci], v))
+            if len(core) <= cap:
+                yield min_rotation(core), (start, ci, 0)
+
+
+def reference_closure(system, start, cap, max_applications, cyclic, target=None,
+                      stop_on_ab=False):
+    """The closure loop over the reference enumerators, building every move
+    and charging each one; returns (applications, states, complete, parents,
+    min_word)."""
+    parents = {start: None}
+    applications, min_word = 0, start
+    margin = system.ab_margin
+    if (not cyclic and margin is not None and margin > 0 and cap - len(start) < margin
+            and all(is_ab_letter(x) for x in start)):
+        return applications, 1, True, parents, min_word
+    heap = [(shortlex_key(start), start)]
+    while heap:
+        _, w = heapq.heappop(heap)
+        moves = (reference_cyclic_moves(system, w, cap) if cyclic
+                 else reference_linear_moves(system, w))
+        for succ, move in moves:
+            applications += 1
+            if applications > max_applications:
+                return applications, len(parents), False, parents, min_word
+            if len(succ) > cap or succ in parents:
+                continue
+            parents[succ] = (w, move)
+            if shortlex_key(succ) < shortlex_key(min_word):
+                min_word = succ
+            heapq.heappush(heap, (shortlex_key(succ), succ))
+            if succ == target or (stop_on_ab and all(is_ab_letter(x) for x in succ)):
+                return applications, len(parents), False, parents, min_word
+    return applications, len(parents), True, parents, min_word
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +166,10 @@ class TestFreeRank:
         expected = "yes" if all(is_ab_letter(x) for x in core) else "no"
         assert verdict.status == expected
 
+    def test_raw_tuples_are_freely_reduced(self, free_oracle, budget):
+        assert free_oracle.equal((1, -1), (), budget).is_yes
+        assert free_oracle.canonical((2, 1, -1), budget) == ((2,), True)
+
     def test_no_certificates_at_rank_0(self, free_oracle, budget):
         v = free_oracle.equal(Word.parse("a"), Word.parse("b"), budget)
         assert v.is_no and v.certificate["kind"] == "rank-0"
@@ -130,6 +213,27 @@ class TestRelatorVerdicts:
     def test_into_ab_refuted_by_residue(self, o1, budget):
         v = o1.conjugate_into_ab(Word.parse("s1"), budget)
         assert v.is_no and v.certificate["kind"] == "abelian-residue"
+
+
+class TestRawLetterTuples:
+    @given(u=raw_m1, v=raw_m1)
+    @settings(max_examples=40, deadline=None)
+    def test_raw_and_word_forms_agree(self, free_oracle, o1, u, v):
+        budget = OracleBudget(max_relator_applications=2500)
+        tu, tv, wu, wv = tuple(u), tuple(v), Word(u), Word(v)
+        for oracle in (free_oracle, o1):
+            assert oracle.equal(tu, tv, budget).to_json() == oracle.equal(wu, wv, budget).to_json()
+            assert (oracle.conjugate(tu, tv, budget).to_json()
+                    == oracle.conjugate(wu, wv, budget).to_json())
+            assert (oracle.conjugate_into_ab(tu, budget).to_json()
+                    == oracle.conjugate_into_ab(wu, budget).to_json())
+            assert oracle.norm(tu, budget) == oracle.norm(wu, budget)
+            assert oracle.canonical(tu, budget) == oracle.canonical(wu, budget)
+
+    def test_relators_must_be_cyclically_reduced(self):
+        for word in ((1, -1), (1, 2, -1), (2, 1, -1, 3)):
+            with pytest.raises(InputError):
+                Relator("r", word)
 
 
 class TestWitnessReplay:
@@ -254,9 +358,9 @@ class TestBudgets:
         assert not v.budget_used.complete
 
     def test_cyclic_closure_counts_over_cap_moves(self, p_k3_m1_r2):
-        # values recorded before over-cap successors stopped being
-        # canonicalised: 152 of the 326 applications are over the cap, and
-        # they must still be charged to the budget
+        # values recorded when every move was built: 152 of the 326
+        # applications are over the cap, and they must still be charged to
+        # the budget
         oracle = RankOracle(p_k3_m1_r2.relator_system(2))
         start = Word.parse("a.s1.b.s1").letters
         comp = oracle._closure(start, 6, OracleBudget(), cyclic=True)
@@ -268,8 +372,81 @@ class TestBudgets:
             "a.S1.S1.b.s1", "a.s1.b.S1.S1", "a.s1.b.s1",
         ]
         over_cap = sum(len(succ) > 6 for member in comp.parents
-                       for succ, _ in oracle._cyclic_successors(member, 6))
+                       for succ, _ in reference_cyclic_moves(oracle.system, member, 6))
         assert over_cap == 152
+
+
+class TestSuccessorGenerators:
+    """The generators build only in-cap, non-repeated moves; the closure must
+    still match the reference that builds and charges every move."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, p_k3_m1_r1, p_k3_m1_r2):
+        # the third relator has subwords that are not cyclically reduced
+        # (a.b.A), so a core whose inserted piece trims away keeps shrinking
+        return [p_k3_m1_r1.relator_system(1), p_k3_m1_r2.relator_system(2),
+                RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 2)])]
+
+    @given(seq=raw_m1, which=st.integers(0, 2), cyclic=st.booleans(),
+           slack=st.integers(0, 5), stop=st.booleans(),
+           max_applications=st.sampled_from([1, 7, 100, 2500, 50_000]))
+    # a whole relator inside the word: deleting it leaves a.A to cancel
+    @example(seq=[1, 3, 3, 3, -1], which=0, cyclic=False, slack=0, stop=False,
+             max_applications=50_000)
+    @settings(max_examples=150, deadline=None)
+    def test_closure_matches_reference(self, systems, seq, which, cyclic, slack,
+                                       stop, max_applications):
+        system = systems[which]
+        w = Word(seq).letters
+        if cyclic:
+            core, _ = cyclic_reduce_letters(w)
+            w = min_rotation(core)
+        cap = len(w) + slack
+        target = () if stop and not cyclic else None
+        stop_on_ab = stop and cyclic
+        comp = RankOracle(system)._closure(
+            w, cap, OracleBudget(max_relator_applications=max_applications), cyclic,
+            target=target, stop_on_ab=stop_on_ab)
+        expected = reference_closure(system, w, cap, max_applications, cyclic,
+                                     target=target, stop_on_ab=stop_on_ab)
+        assert (comp.applications, comp.states, comp.complete, dict(comp.parents),
+                comp.min_word) == expected
+
+    @given(seq=raw_m1, which=st.integers(0, 2), cyclic=st.booleans(),
+           slack=st.integers(0, 5))
+    # the context b.A.s1.a.b.A.s1.a matches all of the word b; the rest of
+    # it, inverted to A.S1.a.B.A.S1.a, still trims to a 5-letter core
+    @example(seq=[2], which=2, cyclic=True, slack=4)
+    @settings(max_examples=150, deadline=None)
+    def test_yields_are_reference_moves_in_cap(self, systems, seq, which, cyclic, slack):
+        system = systems[which]
+        oracle = RankOracle(system)
+        w = Word(seq).letters
+        if cyclic:
+            core, _ = cyclic_reduce_letters(w)
+            w = min_rotation(core)
+        cap = len(w) + slack
+        if cyclic:
+            reference = list(reference_cyclic_moves(system, w, cap))
+            yields = list(oracle._cyclic_successors(w, cap))
+        else:
+            reference = list(reference_linear_moves(system, w))
+            yields = list(oracle._linear_successors(w, cap))
+        assert yields[-1] == (None, None, len(reference))
+        ordinals = [ordinal for _, _, ordinal in yields[:-1]]
+        assert ordinals == sorted(set(ordinals))
+        for succ, move, ordinal in yields[:-1]:
+            assert len(succ) <= cap
+            assert reference[ordinal - 1] == (succ, move)
+        # every in-cap result of the reference is built at its first move
+        firsts = {}
+        for i, (succ, _) in enumerate(reference, 1):
+            if len(succ) <= cap:
+                firsts.setdefault(succ, i)
+        built = {}
+        for succ, _, ordinal in yields[:-1]:
+            built.setdefault(succ, ordinal)
+        assert built == firsts
 
 
 class TestConjugators:
