@@ -30,7 +30,7 @@ from .cayley import density_HG, density_rows_to_csv, density_rows_to_json, growt
 from .diagrams import Diagram, check_condition_A, validate_diagram
 from .errors import InputError, InvariantViolation, StateError
 from .oracle import OracleBudget
-from .presentation import GradedPresentation, SmallCancellationParams
+from .presentation import GradedPresentation, SmallCancellationParams, read_field
 from .probability import (
     GroupLaw,
     StepDistribution,
@@ -43,8 +43,9 @@ CONFIG_ENV = "BURNLAB_CONFIG"
 
 _PARAM_KEYS = ("k", "alpha", "beta", "gamma", "epsilon", "zeta", "h",
                "allow_small_k")
-_BUDGET_KEYS = ("max_ball_radius", "max_relator_applications",
-                "max_conjugator_length", "time_cap")
+# budget fields and their read_field kinds; a null field keeps its default
+_BUDGET_KINDS = {"max_ball_radius": "int", "max_relator_applications": "int",
+                 "max_conjugator_length": "int", "time_cap": "number"}
 
 # desk-scale defaults: k=3 needs the epsilon*k bound waived, which the params
 # gate records as a caveat rather than hiding
@@ -94,7 +95,7 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
         for key in ("m", "seed", "out_dir", "format"):
             if key in loaded:
                 data[key] = loaded[key]
-        for block, allowed in (("params", _PARAM_KEYS), ("budget", _BUDGET_KEYS)):
+        for block, allowed in (("params", _PARAM_KEYS), ("budget", _BUDGET_KINDS)):
             sub = loaded.get(block, {})
             if not isinstance(sub, dict):
                 raise InputError("config %s must be an object" % block)
@@ -110,7 +111,7 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
         value = getattr(args, "param_" + key, None)
         if value is not None:
             data["params"][key] = value
-    for key in _BUDGET_KEYS:
+    for key in _BUDGET_KINDS:
         value = getattr(args, key, None)
         if value is not None:
             data["budget"][key] = value
@@ -119,18 +120,19 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
         if value is not None:
             data[key] = value
 
-    if not isinstance(data["m"], int) or data["m"] < 0:
+    m = read_field(data, "m", "int")
+    if m < 0:
         raise InputError("m must be a non-negative integer")
     if data["format"] not in ("csv", "json"):
         raise InputError("format must be csv or json")
-    if data["seed"] is not None and not isinstance(data["seed"], int):
-        raise InputError("seed must be an integer")
+    seed = None if data["seed"] is None else read_field(data, "seed", "int")
     params = SmallCancellationParams.from_dict(data["params"])
-    budget = OracleBudget(**{k: data["budget"][k] for k in _BUDGET_KEYS
-                             if k in data["budget"]})
-    return SessionConfig(m=data["m"], params=params, budget=budget,
-                         seed=data["seed"], out_dir=Path(data["out_dir"]),
-                         fmt=data["format"])
+    budget = OracleBudget(**{
+        key: read_field(data["budget"], "budget." + key, kind)
+        for key, kind in _BUDGET_KINDS.items()
+        if data["budget"].get(key) is not None})
+    return SessionConfig(m=m, params=params, budget=budget, seed=seed,
+                         out_dir=Path(data["out_dir"]), fmt=data["format"])
 
 
 def _write_artifact(path: Path, text: str) -> None:

@@ -408,9 +408,10 @@ def replay_trace(system: RelatorSystem, start: Sequence[int], steps: Iterable[di
     return tuple(w)
 
 
+# the verifiers reduce raw query tuples freely, as the oracle's `_letters` does
 def verify_equality_witness(system: RelatorSystem, u: Sequence[int], v: Sequence[int], witness: dict) -> bool:
     start = parse_letters(witness["start"])
-    if start != splice_reduce(tuple(u), inverse_letters(tuple(v)), ()):
+    if start != splice_reduce(reduce_letters(u), inverse_letters(reduce_letters(v)), ()):
         return False
     try:
         end = replay_trace(system, start, witness["steps"])
@@ -421,20 +422,20 @@ def verify_equality_witness(system: RelatorSystem, u: Sequence[int], v: Sequence
 
 def verify_conjugacy_witness(system: RelatorSystem, u: Sequence[int], v: Sequence[int], witness: dict) -> bool:
     start = parse_letters(witness["start"])
-    if start != tuple(u):
+    if start != reduce_letters(u):
         return False
     try:
         end = replay_trace(system, start, witness["steps"])
     except ReplayError:
         return False
     core_end, _ = cyclic_reduce_letters(end)
-    core_v, _ = cyclic_reduce_letters(tuple(v))
+    core_v, _ = cyclic_reduce_letters(reduce_letters(v))
     return min_rotation(core_end) == min_rotation(core_v)
 
 
 def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dict) -> bool:
     start = parse_letters(witness["start"])
-    if start != tuple(u):
+    if start != reduce_letters(u):
         return False
     try:
         end = replay_trace(system, start, witness["steps"])

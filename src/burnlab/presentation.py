@@ -19,6 +19,7 @@ are filtered syntactically before any oracle work ("free-power").
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -53,7 +54,8 @@ def _fraction_field(value) -> Fraction:
 
 _REQUIRED = object()
 # the field kinds read_field knows, with the noun its messages use
-_FIELD_KINDS = {"int": "an integer", "bool": "true or false",
+_FIELD_KINDS = {"int": "an integer", "number": "a finite number",
+                "bool": "true or false",
                 "rational": "an exact rational", "list": "a list",
                 "strings": "a list of strings", "object": "an object"}
 
@@ -87,6 +89,9 @@ def read_field(doc, path: str, kind: str, default=_REQUIRED):
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         ok = isinstance(value, int) and not isinstance(value, bool)
+    elif kind == "number":
+        ok = (isinstance(value, int) and not isinstance(value, bool)
+              or isinstance(value, float) and math.isfinite(value))
     elif kind == "rational":
         try:
             value = _fraction_field(value)

@@ -7,18 +7,21 @@ or *unresolved* (budget ran out).  Estimates therefore come as intervals
 certified fraction, never as a bare point value.
 
 Sampling is seed-deterministic: all random draws for a run come from one
-`random.Random(seed)` stream consumed before any evaluation is dispatched,
-so worker count cannot change results.
+`random.Random(seed)` stream, and every sample is drawn before any is
+queried.  Samples are tallied by word, and each distinct word is queried
+once, in first-seen order, its verdict weighted by its count.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Optional, Sequence
+from itertools import accumulate, product
+from typing import Iterable, Optional, Sequence
 
 from .cayley import FLAG_EXACT, enumerate_ball
 from .errors import InputError, StateError
@@ -185,9 +188,14 @@ class StepDistribution:
     letter is never reached the flag `maybe_degenerate` is set.  That is a
     warning, not an error: restricted walks (e.g. on a cyclic quotient) are
     legitimate and the flag just surfaces in reports.
+
+    A draw takes the first word whose running float sum (`thresholds`)
+    exceeds one `rng.random()`, else the last word: rounding can leave the
+    sum below 1.
     """
 
-    __slots__ = ("support", "maybe_degenerate", "probe_depth")
+    __slots__ = ("support", "maybe_degenerate", "probe_depth", "thresholds",
+                 "_draws")
 
     def __init__(self, support: Sequence[tuple[Word, Fraction]]):
         pairs = []
@@ -210,6 +218,11 @@ class StepDistribution:
             raise InputError("empty support")
         pairs.sort(key=lambda wp: (len(wp[0].letters), wp[0].letters))
         object.__setattr__(self, "support", tuple(pairs))
+        object.__setattr__(self, "thresholds",
+                           tuple(accumulate(float(p) for _, p in pairs)))
+        # indexed by bisect_right(thresholds, u): the repeated last word is
+        # the fall-back for u at or above the float sum
+        object.__setattr__(self, "_draws", tuple(w for w, _ in pairs) + (pairs[-1][0],))
         depth = 2 * max(len(w.letters) for w, _ in pairs) or 1
         object.__setattr__(self, "probe_depth", depth)
         object.__setattr__(self, "maybe_degenerate", not self._probe(depth))
@@ -246,13 +259,7 @@ class StepDistribution:
         return cls([(w, p) for w in items])
 
     def draw(self, rng: random.Random) -> Word:
-        u = rng.random()
-        acc = 0.0
-        for w, p in self.support:
-            acc += float(p)
-            if u < acc:
-                return w
-        return self.support[-1][0]
+        return self._draws[bisect_right(self.thresholds, rng.random())]
 
     def __repr__(self):
         return "StepDistribution(%s)" % ", ".join(
@@ -307,6 +314,18 @@ def _estimate(law_text, mode, n, holds, fails, unknown, exact=False) -> LawEstim
     )
 
 
+def _tally(oracle: RankOracle, words: Iterable[Word],
+           budget: OracleBudget) -> tuple[int, int, int]:
+    """(holds, fails, unknown) of `w = 1` over `words`, repeats counted.
+    Each distinct word is queried once, in first-seen order: verdicts do
+    not depend on memo warmth, so a repeat would give the same verdict."""
+    tally = [0, 0, 0]
+    for w, count in Counter(words).items():
+        v = oracle.equal(w, (), budget)
+        tally[0 if v.is_yes else 1 if v.is_no else 2] += count
+    return tally[0], tally[1], tally[2]
+
+
 def sample_uniform_ball(presentation, rank: int, n: int, rng: random.Random,
                         budget: Optional[OracleBudget] = None,
                         require_exact: bool = True,
@@ -334,10 +353,16 @@ def random_walk_sample(nu: StepDistribution, steps: int, rng: random.Random) -> 
     """Product of `steps` independent nu-draws, freely reduced."""
     if steps < 0:
         raise InputError("steps must be >= 0")
-    out: tuple[int, ...] = ()
+    # StepDistribution.draw inlined: one rng.random() per step, as there
+    thresholds, draws, rand = nu.thresholds, nu._draws, rng.random
+    out: list[int] = []
     for _ in range(steps):
-        out = splice_reduce(out, nu.draw(rng).letters, ())
-    return Word._raw(out)
+        for x in draws[bisect_right(thresholds, rand())].letters:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return Word._raw(tuple(out))
 
 
 def law_probability(presentation, law: GroupLaw, rank: int, mode: str, n: int,
@@ -354,23 +379,15 @@ def law_probability(presentation, law: GroupLaw, rank: int, mode: str, n: int,
     oracle = presentation.oracle(rank)
     budget = budget or oracle.default_budget
     arity = law.arity
-    one = Word(())
 
     if mode == "exhaustive":
         ball = enumerate_ball(presentation, rank, n, budget)
         if ball.flag != FLAG_EXACT:
             raise StateError("exhaustive mode needs an exact ball, got %s" % ball.flag)
-        holds = fails = unknown = 0
-        for combo in product(ball.elements, repeat=arity):
-            w = law.evaluate([Word._raw(t) for t in combo])
-            v = oracle.equal(w, one, budget)
-            if v.is_yes:
-                holds += 1
-            elif v.is_no:
-                fails += 1
-            else:
-                unknown += 1
-        return _estimate(law.text, mode, n, holds, fails, unknown, exact=True)
+        words = (law.evaluate([Word._raw(t) for t in combo])
+                 for combo in product(ball.elements, repeat=arity))
+        return _estimate(law.text, mode, n, *_tally(oracle, words, budget),
+                         exact=True)
 
     if mode not in ("ball", "walk"):
         raise InputError("mode must be ball, walk, or exhaustive")
@@ -383,26 +400,15 @@ def law_probability(presentation, law: GroupLaw, rank: int, mode: str, n: int,
 
     rng = random.Random(seed)
     cache: dict = {}
-    assignments = []
-    for _ in range(trials):
-        if mode == "ball":
-            vals = [sample_uniform_ball(presentation, rank, n, rng,
-                                        budget, _cache=cache)
-                    for _ in range(arity)]
-        else:
-            vals = [random_walk_sample(nu, n, rng) for _ in range(arity)]
-        assignments.append(vals)
 
-    holds = fails = unknown = 0
-    for vals in assignments:
-        v = oracle.equal(law.evaluate(vals), one, budget)
-        if v.is_yes:
-            holds += 1
-        elif v.is_no:
-            fails += 1
-        else:
-            unknown += 1
-    return _estimate(law.text, mode, n, holds, fails, unknown)
+    def draw():
+        if mode == "ball":
+            return sample_uniform_ball(presentation, rank, n, rng, budget,
+                                       _cache=cache)
+        return random_walk_sample(nu, n, rng)
+
+    words = (law.evaluate([draw() for _ in range(arity)]) for _ in range(trials))
+    return _estimate(law.text, mode, n, *_tally(oracle, words, budget))
 
 
 def law_probability_sweep(presentation, law: GroupLaw, rank: int, mode: str,
@@ -501,15 +507,6 @@ def quotient_return_probability(presentation, rank: int, steps: int,
     if nu is None:
         nu = StepDistribution.lazy_uniform([Word((3,)), Word((-3,))])
     rng = random.Random(seed)
-    one = Word(())
-    holds = fails = unknown = 0
-    for _ in range(trials):
-        w = random_walk_sample(nu, steps, rng)
-        v = oracle.equal(w, one, budget)
-        if v.is_yes:
-            holds += 1
-        elif v.is_no:
-            fails += 1
-        else:
-            unknown += 1
-    return _estimate("x = 1 (quotient walk)", "walk", steps, holds, fails, unknown)
+    words = (random_walk_sample(nu, steps, rng) for _ in range(trials))
+    return _estimate("x = 1 (quotient walk)", "walk", steps,
+                     *_tally(oracle, words, budget))

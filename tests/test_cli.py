@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from burnlab import cli
+from burnlab.oracle import OracleBudget
 from burnlab.presentation import GradedPresentation
 
 DIAGRAM_DIR = Path(__file__).parent / "data" / "diagrams"
@@ -309,3 +310,54 @@ class TestConfig:
                        "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"budget": {"max_relator_applications": "x"}},
+         "budget.max_relator_applications must be an integer"),
+        ({"budget": {"time_cap": "1"}}, "budget.time_cap must be a finite number"),
+        ({"budget": {"time_cap": True}}, "budget.time_cap must be a finite number"),
+        ({"budget": {"max_ball_radius": 2.5}}, "budget.max_ball_radius must be an integer"),
+        ({"m": True}, "field m must be an integer"),
+        ({"seed": "7"}, "field seed must be an integer"),
+    ])
+    def test_mistyped_field_exits_2_naming_it(self, tmp_path, capsys, doc, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = cli.main(["build", "--max-rank", "0", "--config", str(cfg),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err
+
+    def test_null_fields_keep_their_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": None, "budget": {
+            "time_cap": None, "max_conjugator_length": None,
+            "max_relator_applications": None, "max_ball_radius": 3.0}}))
+        args = cli.build_parser().parse_args(
+            ["build", "--max-rank", "0", "--config", str(cfg)])
+        loaded = cli.load_config(args)
+        assert loaded.seed is None
+        assert loaded.budget == OracleBudget(max_ball_radius=3)
+
+
+GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+
+
+class TestGoldenSamplingArtifacts:
+    """The sampling commands' artifacts, byte for byte, as recorded before
+    walks drew from precomputed thresholds and tallies queried each distinct
+    word once."""
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("rwalk-rank1-seed5.json",
+         ["rwalk", "--rank", "1", "--steps", "30", "--trials", "2000"]),
+        ("lawprob-walk-rank1-seed5.json",
+         ["lawprob", "--law", "[x1,x2]", "--mode", "walk", "--rank", "1",
+          "--radius", "4", "--radius-min", "3", "--trials", "60"]),
+    ])
+    def test_bytes_match_recorded(self, workspace, tmp_path, golden, argv):
+        out = tmp_path / "out.json"
+        assert cli.main(argv + ["--seed", "5", "--out", str(out),
+                                "--presentation", presentation_path(workspace, 1)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()

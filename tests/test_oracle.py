@@ -230,6 +230,39 @@ class TestRawLetterTuples:
             assert oracle.norm(tu, budget) == oracle.norm(wu, budget)
             assert oracle.canonical(tu, budget) == oracle.canonical(wu, budget)
 
+    def test_raw_query_witnesses_verify(self, o1, budget):
+        # the verifiers reduce raw tuples as the oracle does; they used to
+        # compare the witness start with the unreduced u
+        u, v = (3, 3, 1, -1), (-3,)
+        verdict = o1.equal(u, v, budget)
+        assert verdict.is_yes
+        assert verify_equality_witness(o1.system, u, v, verdict.witness)
+        assert verify_equality_witness(o1.system, (3, 3), v, verdict.witness)
+        u, v = (2, 3, -2, 1, -1), (3,)
+        verdict = o1.conjugate(u, v, budget)
+        assert verdict.is_yes
+        assert verify_conjugacy_witness(o1.system, u, v, verdict.witness)
+        assert verify_conjugacy_witness(o1.system, u, (3, 2, -2), verdict.witness)
+        u = (2, 3, -3, 1, -2)
+        verdict = o1.conjugate_into_ab(u, budget)
+        assert verdict.is_yes
+        assert verify_into_ab_witness(o1.system, u, verdict.witness)
+
+    @given(u=raw_m1, v=raw_m1)
+    @settings(max_examples=40, deadline=None)
+    def test_raw_query_witnesses_verify_property(self, o1, u, v):
+        budget = OracleBudget(max_relator_applications=2500)
+        u, v = tuple(u), tuple(v)
+        verdict = o1.equal(u, v, budget)
+        if verdict.is_yes:
+            assert verify_equality_witness(o1.system, u, v, verdict.witness)
+        verdict = o1.conjugate(u, v, budget)
+        if verdict.is_yes:
+            assert verify_conjugacy_witness(o1.system, u, v, verdict.witness)
+        verdict = o1.conjugate_into_ab(u, budget)
+        if verdict.is_yes:
+            assert verify_into_ab_witness(o1.system, u, verdict.witness)
+
     def test_relators_must_be_cyclically_reduced(self):
         for word in ((1, -1), (1, 2, -1), (2, 1, -1, 3)):
             with pytest.raises(InputError):

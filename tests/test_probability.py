@@ -3,9 +3,13 @@ law-probability estimates, torsion classification, and the quotient walk."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from burnlab.cayley import enumerate_ball
 from burnlab.errors import InputError, StateError
 from burnlab.oracle import (
     OracleBudget,
@@ -18,18 +22,125 @@ from burnlab.oracle import (
 from burnlab.probability import (
     GroupLaw,
     StepDistribution,
+    _estimate,
     law_probability,
     law_probability_sweep,
     quotient_return_probability,
+    quotient_system,
     random_walk_sample,
     sample_uniform_ball,
     torsion_dichotomy_test,
 )
-from burnlab.words import Alphabet, Word
+from burnlab.words import Alphabet, Word, reduced_words_up_to, splice_reduce
 
 TINY = OracleBudget(max_ball_radius=0, max_relator_applications=1)
 ALL_STEPS = StepDistribution.lazy_uniform(
     [Word((l,)) for l in (1, -1, 2, -2, 3, -3)])
+# the largest value random.random() returns
+TOP = 1 - 2 ** -53
+
+
+# test-only references: the sampler and the tally as they were before draws
+# used precomputed thresholds and tallies queried each distinct word once
+
+def reference_draw(nu, rng):
+    u = rng.random()
+    acc = 0.0
+    for w, p in nu.support:
+        acc += float(p)
+        if u < acc:
+            return w
+    return nu.support[-1][0]
+
+
+def reference_walk(nu, steps, rng):
+    out = ()
+    for _ in range(steps):
+        out = splice_reduce(out, reference_draw(nu, rng).letters, ())
+    return Word._raw(out)
+
+
+def reference_tally(oracle, words, budget):
+    """One query per word, repeats included."""
+    holds = fails = unknown = 0
+    for w in words:
+        v = oracle.equal(w, Word(()), budget)
+        if v.is_yes:
+            holds += 1
+        elif v.is_no:
+            fails += 1
+        else:
+            unknown += 1
+    return holds, fails, unknown
+
+
+def reference_law_probability(presentation, law, rank, mode, n, trials=0,
+                              seed=None, budget=None, nu=None):
+    """law_probability sampling as before, one query per trial on a fresh
+    oracle."""
+    oracle = RankOracle(presentation.relator_system(rank))
+    if mode == "exhaustive":
+        ball = enumerate_ball(presentation, rank, n, budget)
+        words = [law.evaluate([Word._raw(t) for t in combo])
+                 for combo in product(ball.elements, repeat=law.arity)]
+    else:
+        rng, cache, assignments = random.Random(seed), {}, []
+        for _ in range(trials):
+            if mode == "ball":
+                vals = [sample_uniform_ball(presentation, rank, n, rng, budget,
+                                            _cache=cache)
+                        for _ in range(law.arity)]
+            else:
+                vals = [reference_walk(nu, n, rng) for _ in range(law.arity)]
+            assignments.append(vals)
+        words = [law.evaluate(vals) for vals in assignments]
+    return _estimate(law.text, mode, n, *reference_tally(oracle, words, budget),
+                     exact=mode == "exhaustive")
+
+
+def reference_quotient_return(presentation, rank, steps, trials, seed, nu):
+    oracle = RankOracle(quotient_system(presentation, rank))
+    rng = random.Random(seed)
+    words = [reference_walk(nu, steps, rng) for _ in range(trials)]
+    return _estimate("x = 1 (quotient walk)", "walk", steps,
+                     *reference_tally(oracle, words, oracle.default_budget))
+
+
+class EdgeRandom(random.Random):
+    """A Random whose draws land exactly on one of `edges` with probability
+    `share`; the state still advances by one underlying draw per call."""
+
+    def __init__(self, seed, edges, share=0.5):
+        self.edges, self.share = edges, share
+        super().__init__(seed)
+
+    def random(self):
+        u = super().random()
+        if u < self.share:
+            return self.edges[int(u / self.share * len(self.edges))]
+        return u
+
+
+STEP_WORDS = list(reduced_words_up_to(Alphabet(1), 2))
+
+
+@st.composite
+def step_distributions(draw):
+    """Supports of 1-6 distinct reduced words with probabilities parts/d;
+    d = 7 or 49 often leaves the float sum of the parts below 1."""
+    d = draw(st.sampled_from([3, 6, 7, 10, 49]))
+    n = draw(st.integers(1, min(d, 6)))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=n - 1,
+                               max_size=n - 1)))
+    bounds = [0] + cuts + [d]
+    words = draw(st.lists(st.sampled_from(STEP_WORDS), min_size=n, max_size=n,
+                          unique=True))
+    return StepDistribution([(Word._raw(w), Fraction(hi - lo, d))
+                             for w, lo, hi in zip(words, bounds, bounds[1:])])
+
+
+SEVENTHS = StepDistribution([(Word._raw(w), Fraction(1, 7))
+                             for w in STEP_WORDS[:7]])
 
 
 class TestGroupLaw:
@@ -132,6 +243,26 @@ class TestStepDistribution:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ALL_STEPS.support = ()
+
+    def test_float_sum_below_one_falls_back_to_last_word(self):
+        assert SEVENTHS.thresholds[-1] < 1
+        assert SEVENTHS.draw(EdgeRandom(0, [TOP], 1.0)) == SEVENTHS.support[-1][0]
+        # a draw equal to a threshold takes the next word, as u < acc did
+        rng = EdgeRandom(0, [SEVENTHS.thresholds[0]], 1.0)
+        assert SEVENTHS.draw(rng) == SEVENTHS.support[1][0]
+
+    @given(nu=step_distributions(), seed=st.integers(0, 2 ** 32),
+           steps=st.integers(0, 12))
+    @example(nu=SEVENTHS, seed=0, steps=12)
+    @settings(max_examples=150, deadline=None)
+    def test_draw_and_walk_match_reference(self, nu, seed, steps):
+        edges = list(nu.thresholds) + [0.0, TOP]
+        ours, ref = EdgeRandom(seed, edges), EdgeRandom(seed, edges)
+        for _ in range(20):
+            assert nu.draw(ours) is reference_draw(nu, ref)
+        assert ours.getstate() == ref.getstate()
+        assert random_walk_sample(nu, steps, ours) == reference_walk(nu, steps, ref)
+        assert ours.getstate() == ref.getstate()
 
 
 class TestSampling:
@@ -328,3 +459,32 @@ class TestQuotientWalk:
         flat = GradedPresentation(Alphabet(0), small_k_params())
         with pytest.raises(InputError, match="s-generator"):
             quotient_return_probability(flat, 0, steps=2, trials=1, seed=1)
+
+
+class TestTallyMatchesReference:
+    """Querying each distinct word once gives the estimate that one query
+    per trial gave; the budget-1000 rank-2 cases have unknowns."""
+
+    @pytest.mark.parametrize("pres, law, rank, mode, n, trials, seed, apps", [
+        ("p_k3_m1_r2", "x1^3", 2, "ball", 1, 80, 3, 1000),
+        ("p_k3_m1_r1", "[x1,x2]", 1, "ball", 2, 60, 5, 50_000),
+        ("p_k3_m1_r2", "x1^3", 2, "walk", 3, 60, 4, 1000),
+        ("p_k3_m1_r1", "[x1,x2]", 1, "walk", 4, 40, 3, 50_000),
+        ("p_k3_m1_r2", "[x1,x2]", 2, "exhaustive", 1, 0, None, 1000),
+        ("p_k3_m1_r1", "x1^3", 1, "exhaustive", 2, 0, None, 50_000),
+    ])
+    def test_law_probability(self, request, pres, law, rank, mode, n, trials,
+                             seed, apps):
+        presentation = request.getfixturevalue(pres)
+        kw = dict(trials=trials, seed=seed, nu=ALL_STEPS,
+                  budget=OracleBudget(max_relator_applications=apps))
+        law = GroupLaw.parse(law)
+        assert law_probability(presentation, law, rank, mode, n, **kw) == \
+            reference_law_probability(presentation, law, rank, mode, n, **kw)
+
+    @pytest.mark.parametrize("rank, steps, trials, seed", [
+        (1, 12, 400, 11), (1, 3, 50, 2), (2, 8, 300, 7), (2, 0, 5, 1)])
+    def test_quotient_return(self, p_k3_m1_r2, rank, steps, trials, seed):
+        nu = StepDistribution.lazy_uniform([Word((3,)), Word((-3,))])
+        assert quotient_return_probability(p_k3_m1_r2, rank, steps, trials, seed) == \
+            reference_quotient_return(p_k3_m1_r2, rank, steps, trials, seed, nu)
