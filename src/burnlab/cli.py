@@ -132,7 +132,8 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
         for key, kind in _BUDGET_KINDS.items()
         if data["budget"].get(key) is not None})
     return SessionConfig(m=m, params=params, budget=budget, seed=seed,
-                         out_dir=Path(data["out_dir"]), fmt=data["format"])
+                         out_dir=Path(read_field(data, "out_dir", "string")),
+                         fmt=data["format"])
 
 
 def _write_artifact(path: Path, text: str) -> None:
@@ -272,6 +273,24 @@ def cmd_rwalk(cfg: SessionConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_expected(path: str) -> dict[str, tuple[bool, Optional[dict]]]:
+    """The --expected file: an object mapping diagram names to {"ok": bool,
+    "A": {"A1": ..., "A2": ..., "A3": ...} or null}.  A missing "ok" reads as
+    false; a missing or null "A" leaves the boundary checks unchecked."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise InputError("cannot read expected file: %s" % exc)
+    except json.JSONDecodeError as exc:
+        raise InputError("expected file is not valid JSON: %s" % exc)
+    if not isinstance(doc, dict):
+        raise InputError("expected file must be an object mapping diagram names "
+                         "to verdicts, got a %s" % type(doc).__name__)
+    return {name: (read_field(entry, name + ".ok", "bool", default=False),
+                   None if entry.get("A") is None else read_field(entry, name + ".A", "object"))
+            for name, entry in doc.items()}
+
+
 def cmd_diagram_check(cfg: SessionConfig, args: argparse.Namespace) -> int:
     pres = _load_presentation(cfg, args)
     paths: list[Path] = []
@@ -283,14 +302,7 @@ def cmd_diagram_check(cfg: SessionConfig, args: argparse.Namespace) -> int:
             paths.append(p)
     if not paths:
         raise InputError("no diagram files given")
-    expected = {}
-    if args.expected:
-        try:
-            expected = json.loads(Path(args.expected).read_text())
-        except OSError as exc:
-            raise InputError("cannot read expected file: %s" % exc)
-        except json.JSONDecodeError as exc:
-            raise InputError("expected file is not valid JSON: %s" % exc)
+    expected = _read_expected(args.expected) if args.expected else {}
 
     rows = []
     mismatches = []
@@ -313,10 +325,9 @@ def cmd_diagram_check(cfg: SessionConfig, args: argparse.Namespace) -> int:
             print("%s: INVALID (%s)" % (p.stem, "; ".join(rep.errors)))
         rows.append(row)
         if p.stem in expected:
-            exp = expected[p.stem]
+            ok, want = expected[p.stem]
             got_a = {key: row[key] for key in ("A1", "A2", "A3")}
-            if bool(exp.get("ok")) != rep.ok or \
-                    (rep.ok and exp.get("A") is not None and exp["A"] != got_a):
+            if ok != rep.ok or (rep.ok and want is not None and want != got_a):
                 mismatches.append(p.stem)
 
     if cfg.fmt == "json":

@@ -21,7 +21,7 @@ Conventions, fixed once here and relied on by every checker:
 * Contiguity bands are located by direct gluing: maximal runs where an edge
   of one boundary appears inverted on the other.  Side arcs s1, s2 are then
   empty, which satisfies any side cap; positive-length side arcs are out of
-  scope at desk scale (the cap they would be checked against is recorded).
+  scope at desk scale.
 """
 
 from __future__ import annotations
@@ -332,22 +332,15 @@ class ContiguityRecord:
     target: str  # face id or "section:<i>"
     q1_edges: tuple[str, ...]  # arc on the cell cycle
     q2_edges: tuple[str, ...]  # matching arc on the target, reversed inverses
-    side_cap: int
     degree: Fraction
-    inner_rank: int
 
     @property
     def q2_length(self) -> int:
         return len(self.q2_edges)
 
 
-def default_side_cap(params, rank: int) -> int:
-    return max(1, int(params.zeta * params.k * max(rank, 1)))
-
-
 def find_contiguity(diagram: Diagram, cell_id: str,
-                    target: Union[str, Sequence[str]], params,
-                    side_cap: Optional[int] = None,
+                    target: Union[str, Sequence[str]],
                     target_name: Optional[str] = None) -> list[ContiguityRecord]:
     """Maximal direct-gluing bands from a cell to another cell or to a
     contour section (a contiguous directed edge walk).
@@ -374,8 +367,6 @@ def find_contiguity(diagram: Diagram, cell_id: str,
         tname = target_name or "section"
         self_target = False
     m = len(tgt)
-    if side_cap is None:
-        side_cap = default_side_cap(params, max(1, 1))
     inv = {e.id: e.inverse_id for e in diagram.edges}
 
     pos: dict[str, list[int]] = {}
@@ -420,7 +411,7 @@ def find_contiguity(diagram: Diagram, cell_id: str,
         q2 = tuple(tgt[j] for _, j in run)
         records.append(ContiguityRecord(
             cell=cell_id, target=tname, q1_edges=q1, q2_edges=q2,
-            side_cap=side_cap, degree=Fraction(len(run), n), inner_rank=0))
+            degree=Fraction(len(run), n)))
     records.sort(key=lambda r: (r.q1_edges, r.target))
     return records
 
@@ -535,7 +526,7 @@ def check_condition_A(diagram: Diagram, presentation,
         for tgt in cells:
             if tgt.id == pi.id:
                 continue
-            for rec in find_contiguity(diagram, pi.id, tgt.id, params):
+            for rec in find_contiguity(diagram, pi.id, tgt.id):
                 if rec.degree < params.epsilon:
                     continue
                 bound = (1 + params.gamma) * validation.cell_ranks[tgt.id]
@@ -587,8 +578,7 @@ def check_smooth_section(diagram: Diagram, section: Sequence[str], rank: int,
     params = presentation.params
     cont = []
     for f in diagram.cells():
-        for rec in find_contiguity(diagram, f.id, section, params,
-                                   target_name="section"):
+        for rec in find_contiguity(diagram, f.id, section, target_name="section"):
             if rec.degree < params.epsilon:
                 continue
             bound = (1 + params.gamma) * rank
@@ -628,7 +618,7 @@ def find_gamma_cells(diagram: Diagram, sections: Sequence[Sequence[str]],
     for f in diagram.cells():
         total = Fraction(0)
         for si, sec in enumerate(sections):
-            for rec in find_contiguity(diagram, f.id, list(sec), params,
+            for rec in find_contiguity(diagram, f.id, list(sec),
                                        target_name="section:%d" % si):
                 total += rec.degree
         sums[f.id] = total

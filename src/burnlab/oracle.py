@@ -15,6 +15,10 @@ Decision semantics, stated once here:
   independent oracles at the scales the package is used at.
 * everything else is ``unknown`` together with the budget that ran out.
 
+`RankOracle._decide` is the one place this policy is applied: `equal`,
+`conjugate` and `conjugate_into_ab` only choose its start word, target,
+exponent lattice and witness extras.
+
 Raising a budget component can only resolve unknowns; within a fixed cap the
 search is deterministic (states expand in shortlex order), so verdicts do not
 depend on scheduling or worker counts.
@@ -46,7 +50,7 @@ from .errors import BurnlabError, InputError
 from .words import (
     Alphabet,
     Word,
-    cyclic_reduce_letters,
+    cyclic_rep,
     cyclic_split_reduced,
     exponent_vector,
     format_letters,
@@ -371,6 +375,16 @@ def _shift_to_canonical_steps(letters: tuple[int, ...]) -> tuple[list[dict], tup
     raise BurnlabError("rotation bookkeeping failed")
 
 
+def _cyclic_rep_steps(letters: tuple[int, ...], rep: tuple[int, ...]) -> list[dict]:
+    """Steps taking `letters` to `rep`, the least rotation of its cyclic core,
+    using only shifts and cancellations."""
+    steps, core = _cyclic_reduce_steps(letters)
+    fsteps, canon = _shift_to_canonical_steps(core)
+    if canon != rep:
+        raise BurnlabError("cyclic trace assembly mismatch")
+    return steps + fsteps
+
+
 def replay_trace(system: RelatorSystem, start: Sequence[int], steps: Iterable[dict]) -> tuple[int, ...]:
     """Independent witness checker: apply each recorded step literally,
     validating its preconditions, and return the final letter tuple."""
@@ -428,9 +442,7 @@ def verify_conjugacy_witness(system: RelatorSystem, u: Sequence[int], v: Sequenc
         end = replay_trace(system, start, witness["steps"])
     except ReplayError:
         return False
-    core_end, _ = cyclic_reduce_letters(end)
-    core_v, _ = cyclic_reduce_letters(reduce_letters(v))
-    return min_rotation(core_end) == min_rotation(core_v)
+    return cyclic_rep(end) == cyclic_rep(v)
 
 
 def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dict) -> bool:
@@ -459,9 +471,6 @@ class _Component:
         self.min_word = start
         self.states = 1
         self.applications = 0
-
-    def members(self):
-        return self.parents.keys()
 
     def path_moves(self, target: tuple[int, ...]) -> list[tuple]:
         moves = []
@@ -659,56 +668,30 @@ class RankOracle:
 
     # trace assembly --------------------------------------------------------
 
-    def _edge_steps_linear(self, pred, move, succ) -> list[dict]:
-        p, ci, ov = move
+    def _insert_steps(self, ci: int, left: tuple[int, ...], right: tuple[int, ...]
+                      ) -> tuple[list[dict], tuple[int, ...]]:
+        """Steps inserting the relator (contexts[ci].letters)^-1 between left
+        and right, then freely cancelling, and the word they end at."""
         ctx = self.system.contexts[ci]
         rel = self.system.relators[ctx.relator_index]
         n = len(rel.word)
-        steps = [
-            {
-                "op": "relator-insert",
-                "position": p,
-                "relator-id": rel.id,
-                "sign": -ctx.sign,
-                "shift": (n - ctx.shift) % n,
-            }
-        ]
-        combined = pred[:p] + inverse_letters(ctx.letters) + pred[p:]
-        csteps, red = _cancel_steps(combined)
+        step = {"op": "relator-insert", "position": len(left), "relator-id": rel.id,
+                "sign": -ctx.sign, "shift": (n - ctx.shift) % n}
+        csteps, red = _cancel_steps(left + self.system._inv_context_letters[ci] + right)
+        return [step] + csteps, red
+
+    def _edge_steps_linear(self, pred, move, succ) -> list[dict]:
+        p, ci, _ = move
+        steps, red = self._insert_steps(ci, pred[:p], pred[p:])
         if red != succ:
             raise BurnlabError("trace assembly mismatch")
-        steps.extend(csteps)
         return steps
 
     def _edge_steps_cyclic(self, pred, move, succ) -> list[dict]:
-        rot, ci, ov = move
-        ctx = self.system.contexts[ci]
-        rel = self.system.relators[ctx.relator_index]
-        n = len(rel.word)
-        steps: list[dict] = []
-        v = pred
-        if rot:
-            steps.append({"op": "cyclic-shift", "amount": rot})
-            v = pred[rot:] + pred[:rot]
-        steps.append(
-            {
-                "op": "relator-insert",
-                "position": 0,
-                "relator-id": rel.id,
-                "sign": -ctx.sign,
-                "shift": (n - ctx.shift) % n,
-            }
-        )
-        combined = inverse_letters(ctx.letters) + v
-        csteps, red = _cancel_steps(combined)
-        steps.extend(csteps)
-        rsteps, core = _cyclic_reduce_steps(red)
-        steps.extend(rsteps)
-        fsteps, canon = _shift_to_canonical_steps(core)
-        steps.extend(fsteps)
-        if canon != succ:
-            raise BurnlabError("cyclic trace assembly mismatch")
-        return steps
+        rot, ci, _ = move
+        steps = [{"op": "cyclic-shift", "amount": rot}] if rot else []
+        isteps, red = self._insert_steps(ci, (), pred[rot:] + pred[:rot])
+        return steps + isteps + _cyclic_rep_steps(red, succ)
 
     def _trace(self, comp: _Component, target: tuple[int, ...], start_word: tuple[int, ...],
                prefix_steps: Optional[list[dict]] = None) -> dict:
@@ -739,43 +722,67 @@ class RankOracle:
         return BudgetUse(states=comp.states, applications=comp.applications,
                          cap=comp.cap, complete=comp.complete)
 
+    # the decision policy -----------------------------------------------------
+
+    def _decide(self, op: str, word: tuple[int, ...], start: tuple[int, ...], size: int,
+                target: Optional[tuple[int, ...]], lattice: IntegerLattice,
+                vector: Sequence[int], budget: OracleBudget, cyclic: bool,
+                extras: Optional[dict] = None) -> Verdict:
+        """The yes/no/unknown policy of `equal`, `conjugate` and
+        `conjugate_into_ab`: does the rewriting component of `start` reach
+        `target` (or, with target None, any word over {a, b})?
+
+        In order: `start` itself is a hit, yes; the free group (rank 0) no;
+        a nonzero residue of `vector` modulo `lattice`, no; otherwise the
+        closure within the cap: a hit, yes with a trace from the literal query
+        `word` (through the cyclic reduction of `word` to `start` when
+        cyclic); an exhausted component, no; else unknown.  Verdicts decided
+        before the search report `size` as their cap.  `extras` go into the
+        yes witness and the exhaustion certificate; a witness to an {a, b}
+        word names it as "target"."""
+        comp = _Component(start, size, cyclic)  # start alone, before any search
+        hit = _hit(comp, target)
+        if hit is None:
+            if self.system.empty:
+                return Verdict("no", certificate={"kind": "rank-0", "op": op},
+                               budget_used=self._use(comp))
+            residue = lattice.reduce(vector)
+            if any(residue):
+                return Verdict(
+                    "no",
+                    certificate={"kind": "abelian-residue", "op": op, "residue": list(residue),
+                                 "lattice": [list(b) for b in lattice.basis()]},
+                    budget_used=self._use(comp),
+                )
+            cap = size + budget.max_ball_radius if cyclic else self._linear_cap(start, budget)
+            comp = self._closure(start, cap, budget, cyclic, target=target,
+                                 stop_on_ab=target is None)
+            hit = _hit(comp, target)
+        extras = extras or {}
+        if hit is not None:
+            prefix = _cyclic_rep_steps(word, start) if cyclic else None
+            witness = self._trace(comp, hit, word, prefix_steps=prefix)
+            if target is None:
+                witness["target"] = format_letters(hit)
+            witness.update(extras)
+            return Verdict("yes", witness=witness, budget_used=self._use(comp))
+        if comp.complete:
+            return Verdict(
+                "no",
+                certificate={"kind": "exhaustion", "op": op, "cap": comp.cap,
+                             "states": comp.states, "applications": comp.applications,
+                             **extras},
+                budget_used=self._use(comp),
+            )
+        return Verdict("unknown", budget_used=self._use(comp))
+
     # public queries ----------------------------------------------------------
 
     def equal(self, u: Sequence[int] | Word, v: Sequence[int] | Word,
               budget: Optional[OracleBudget] = None) -> Verdict:
-        budget = self._budget(budget)
-        tu, tv = _letters(u), _letters(v)
-        w = splice_reduce(tu, inverse_letters(tv), ())
-        if not w:
-            return Verdict("yes", witness={"start": "", "steps": []},
-                           budget_used=BudgetUse(1, 0, 0, True))
-        if self.system.empty:
-            return Verdict("no", certificate={"kind": "rank-0", "op": "equal"},
-                           budget_used=BudgetUse(1, 0, len(w), True))
-        residue = self.system.lattice.reduce(self.system.expvec(w))
-        if any(residue):
-            return Verdict(
-                "no",
-                certificate={
-                    "kind": "abelian-residue",
-                    "op": "equal",
-                    "residue": list(residue),
-                    "lattice": [list(b) for b in self.system.lattice.basis()],
-                },
-                budget_used=BudgetUse(1, 0, len(w), True),
-            )
-        cap = self._linear_cap(w, budget)
-        comp = self._closure(w, cap, budget, cyclic=False, target=())
-        if () in comp.parents:
-            return Verdict("yes", witness=self._trace(comp, (), w), budget_used=self._use(comp))
-        if comp.complete:
-            return Verdict(
-                "no",
-                certificate={"kind": "exhaustion", "op": "equal", "cap": cap,
-                             "states": comp.states, "applications": comp.applications},
-                budget_used=self._use(comp),
-            )
-        return Verdict("unknown", budget_used=self._use(comp))
+        w = splice_reduce(_letters(u), inverse_letters(_letters(v)), ())
+        return self._decide("equal", w, w, len(w), (), self.system.lattice,
+                            self.system.expvec(w), self._budget(budget), cyclic=False)
 
     def norm(self, u: Sequence[int] | Word, budget: Optional[OracleBudget] = None) -> NormBounds:
         budget = self._budget(budget)
@@ -808,8 +815,7 @@ class RankOracle:
     def cyclic_canonical(self, u: Sequence[int] | Word, cap: Optional[int] = None,
                          budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
         budget = self._budget(budget)
-        core, _ = cyclic_reduce_letters(_letters(u))
-        cu = min_rotation(core)
+        cu = cyclic_rep(_letters(u))
         if self.system.empty:
             return cu, True
         if cap is None:
@@ -821,95 +827,27 @@ class RankOracle:
                   budget: Optional[OracleBudget] = None) -> Verdict:
         budget = self._budget(budget)
         tu, tv = _letters(u), _letters(v)
-        core_u, _ = cyclic_reduce_letters(tu)
-        core_v, _ = cyclic_reduce_letters(tv)
-        cu, cv = min_rotation(core_u), min_rotation(core_v)
-        bound = budget.conjugator_bound(len(tu), len(tv), self.system.alpha_bar)
-        if cu == cv:
-            prefix = self._free_cyclic_prefix(tu, cu)
-            return Verdict("yes", witness={"start": format_letters(tu), "steps": prefix,
-                                           "conjugator-bound": bound},
-                           budget_used=BudgetUse(1, 0, len(cu), True))
-        if self.system.empty:
-            return Verdict("no", certificate={"kind": "rank-0", "op": "conjugate"},
-                           budget_used=BudgetUse(1, 0, max(len(cu), len(cv)), True))
+        cu, cv = cyclic_rep(tu), cyclic_rep(tv)
         diff = [x - y for x, y in zip(self.system.expvec(tu), self.system.expvec(tv))]
-        residue = self.system.lattice.reduce(diff)
-        if any(residue):
-            return Verdict(
-                "no",
-                certificate={"kind": "abelian-residue", "op": "conjugate",
-                             "residue": list(residue),
-                             "lattice": [list(b) for b in self.system.lattice.basis()]},
-                budget_used=BudgetUse(1, 0, max(len(cu), len(cv)), True),
-            )
-        cap = max(len(cu), len(cv)) + budget.max_ball_radius
-        comp = self._closure(cu, cap, budget, cyclic=True, target=cv)
-        if cv in comp.parents:
-            prefix = self._free_cyclic_prefix(tu, cu)
-            witness = self._trace(comp, cv, tu, prefix_steps=prefix)
-            witness["conjugator-bound"] = bound
-            return Verdict("yes", witness=witness, budget_used=self._use(comp))
-        if comp.complete:
-            return Verdict(
-                "no",
-                certificate={"kind": "exhaustion", "op": "conjugate", "cap": cap,
-                             "states": comp.states, "applications": comp.applications,
-                             "conjugator-bound": bound},
-                budget_used=self._use(comp),
-            )
-        return Verdict("unknown", budget_used=self._use(comp))
+        bound = budget.conjugator_bound(len(tu), len(tv), self.system.alpha_bar)
+        return self._decide("conjugate", tu, cu, max(len(cu), len(cv)), cv, self.system.lattice,
+                            diff, budget, cyclic=True, extras={"conjugator-bound": bound})
 
     def conjugate_into_ab(self, u: Sequence[int] | Word,
                           budget: Optional[OracleBudget] = None) -> Verdict:
-        budget = self._budget(budget)
         tu = _letters(u)
-        core, _ = cyclic_reduce_letters(tu)
-        cu = min_rotation(core)
-        if all(is_ab_letter(x) for x in cu):
-            prefix = self._free_cyclic_prefix(tu, cu)
-            return Verdict("yes", witness={"start": format_letters(tu), "steps": prefix,
-                                           "target": format_letters(cu)},
-                           budget_used=BudgetUse(1, 0, len(cu), True))
-        if self.system.empty:
-            return Verdict("no", certificate={"kind": "rank-0", "op": "conjugate-into-ab"},
-                           budget_used=BudgetUse(1, 0, len(cu), True))
-        residue = self.system.lattice_mod_ab.reduce(self.system.expvec(tu))
-        if any(residue):
-            return Verdict(
-                "no",
-                certificate={"kind": "abelian-residue", "op": "conjugate-into-ab",
-                             "residue": list(residue),
-                             "lattice": [list(b) for b in self.system.lattice_mod_ab.basis()]},
-                budget_used=BudgetUse(1, 0, len(cu), True),
-            )
-        cap = len(cu) + budget.max_ball_radius
-        comp = self._closure(cu, cap, budget, cyclic=True, stop_on_ab=True)
-        hits = sorted((w for w in comp.parents if all(is_ab_letter(x) for x in w)),
-                      key=shortlex_key)
-        if hits:
-            target = hits[0]
-            prefix = self._free_cyclic_prefix(tu, cu)
-            witness = self._trace(comp, target, tu, prefix_steps=prefix)
-            witness["target"] = format_letters(target)
-            return Verdict("yes", witness=witness, budget_used=self._use(comp))
-        if comp.complete:
-            return Verdict(
-                "no",
-                certificate={"kind": "exhaustion", "op": "conjugate-into-ab", "cap": cap,
-                             "states": comp.states, "applications": comp.applications},
-                budget_used=self._use(comp),
-            )
-        return Verdict("unknown", budget_used=self._use(comp))
+        cu = cyclic_rep(tu)
+        return self._decide("conjugate-into-ab", tu, cu, len(cu), None, self.system.lattice_mod_ab,
+                            self.system.expvec(tu), self._budget(budget), cyclic=True)
 
-    def _free_cyclic_prefix(self, tu: tuple[int, ...], cu: tuple[int, ...]) -> list[dict]:
-        """Steps taking the literal word tu to the canonical rotation cu of its
-        cyclic core, using only shifts and cancellations."""
-        steps, core = _cyclic_reduce_steps(tu)
-        fsteps, canon = _shift_to_canonical_steps(core)
-        if canon != cu:
-            raise BurnlabError("cyclic prefix bookkeeping failed")
-        return steps + fsteps
+
+def _hit(comp: _Component, target: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    """target if the component holds it; with target None, the least member
+    written over {a, b}; else None."""
+    if target is None:
+        return min((w for w in comp.parents if all(is_ab_letter(x) for x in w)),
+                   key=shortlex_key, default=None)
+    return target if target in comp.parents else None
 
 
 def _letters(u: Sequence[int] | Word) -> tuple[int, ...]:

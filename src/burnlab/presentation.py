@@ -29,7 +29,7 @@ from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem
 from .words import (
     Alphabet,
     Word,
-    cyclic_reduce_letters,
+    cyclic_rep,
     cyclically_reduced_words,
     is_ab_letter,
     min_rotation,
@@ -57,7 +57,8 @@ _REQUIRED = object()
 _FIELD_KINDS = {"int": "an integer", "number": "a finite number",
                 "bool": "true or false",
                 "rational": "an exact rational", "list": "a list",
-                "strings": "a list of strings", "object": "an object"}
+                "string": "a string", "strings": "a list of strings",
+                "object": "an object"}
 
 
 def read_field(doc, path: str, kind: str, default=_REQUIRED):
@@ -101,7 +102,8 @@ def read_field(doc, path: str, kind: str, default=_REQUIRED):
     elif kind == "strings":
         ok = isinstance(value, list) and all(isinstance(x, str) for x in value)
     else:
-        ok = isinstance(value, {"bool": bool, "list": list, "object": dict}[kind])
+        ok = isinstance(value, {"bool": bool, "list": list, "object": dict,
+                                "string": str}[kind])
     if not ok:
         raise InputError("field %s must be %s, got %s"
                          % (path, _FIELD_KINDS[kind], _short(value)))
@@ -356,10 +358,9 @@ class GradedPresentation:
         """
         oracle = self.oracle(rank)
         budget = budget or oracle.default_budget
-        core, _ = cyclic_reduce_letters(word.letters)
-        if not core:
+        w = cyclic_rep(word.letters)
+        if not w:
             return SimplicityVerdict("not-simple", "shorter-or-power", "freely trivial")
-        w = min_rotation(core)
         if _free_period(w) != w:
             return SimplicityVerdict("not-simple", "free-power",
                                      "%s is a free power" % Word(w).format())
@@ -383,9 +384,7 @@ class GradedPresentation:
         # explicit period powers first: crisper reasons than the generic scan
         for j, p in self.all_periods(rank):
             for t in range(1, self.params.k):
-                target_letters = p.letters * t
-                core_t, _ = cyclic_reduce_letters(target_letters)
-                target = min_rotation(core_t)
+                target = cyclic_rep(p.letters * t)
                 if len(target) <= cap and target in comp.parents:
                     return SimplicityVerdict(
                         "not-simple", "period-power",
@@ -441,8 +440,7 @@ class GradedPresentation:
             undecided = not comp.complete
             for x in admitted:
                 for other in (x.letters, tuple(-l for l in reversed(x.letters))):
-                    core_o, _ = cyclic_reduce_letters(other)
-                    if min_rotation(core_o) in comp.parents:
+                    if cyclic_rep(other) in comp.parents:
                         duplicate = x
                         break
                 if duplicate is not None:

@@ -163,6 +163,16 @@ def min_rotation(t: Sequence[int]) -> tuple[int, ...]:
     return t[best:] + t[:best]
 
 
+def cyclic_rep(t: Sequence[int]) -> tuple[int, ...]:
+    """Least rotation of the cyclic core of t (freely reduced first): two
+    words are conjugate in the free group exactly when their reps are equal.
+
+    >>> cyclic_rep((3, 2, 1, -3))
+    (1, 2)
+    """
+    return min_rotation(cyclic_reduce_letters(t)[0])
+
+
 def shortlex_key(t: Sequence[int]) -> tuple:
     return (len(t), tuple(letter_key(x) for x in t))
 
@@ -360,9 +370,7 @@ class CyclicWord:
     __slots__ = ("rep",)
 
     def __init__(self, letters: Iterable[int]):
-        t = reduce_letters(letters)
-        core, _ = cyclic_reduce_letters(t)
-        object.__setattr__(self, "rep", min_rotation(core))
+        object.__setattr__(self, "rep", cyclic_rep(letters))
 
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":

@@ -228,6 +228,29 @@ class TestDiagramCheck:
                        "--out-dir", str(tmp_path)])
         assert rc == 0
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"c01-cell-s1cubed": 5}, "field c01-cell-s1cubed must be an object"),
+        (["c01-cell-s1cubed"], "expected file must be an object"),
+        ({"c01-cell-s1cubed": {"ok": 1}},
+         "field c01-cell-s1cubed.ok must be true or false"),
+        ({"c01-cell-s1cubed": {"ok": True, "A": 5}},
+         "field c01-cell-s1cubed.A must be an object"),
+        ({"c01-cell-s1cubed": {"ok": True, "A": ["pass"]}},
+         "field c01-cell-s1cubed.A must be an object"),
+    ])
+    def test_malformed_expected_exits_2_naming_it(self, workspace, tmp_path, capsys,
+                                                  doc, message):
+        exp = tmp_path / "expected.json"
+        exp.write_text(json.dumps(doc))
+        rc = cli.main(["diagram-check",
+                       str(DIAGRAM_DIR / "c01-cell-s1cubed.json"),
+                       "--expected", str(exp),
+                       "--presentation", presentation_path(workspace, 1),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
 
 class TestStructure:
     def test_clean_presentation_passes(self, workspace, tmp_path):
@@ -319,12 +342,15 @@ class TestConfig:
         ({"budget": {"max_ball_radius": 2.5}}, "budget.max_ball_radius must be an integer"),
         ({"m": True}, "field m must be an integer"),
         ({"seed": "7"}, "field seed must be an integer"),
+        ({"out_dir": 5}, "field out_dir must be a string"),
     ])
-    def test_mistyped_field_exits_2_naming_it(self, tmp_path, capsys, doc, field):
+    def test_mistyped_field_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                              doc, field):
+        # no --out-dir flag, which would win over the file's out_dir
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
-        rc = cli.main(["build", "--max-rank", "0", "--config", str(cfg),
-                       "--out-dir", str(tmp_path)])
+        rc = cli.main(["build", "--max-rank", "0", "--config", str(cfg)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and field in err

@@ -12,7 +12,6 @@ from burnlab.diagrams import (
     check_condition_A,
     check_reduced,
     check_smooth_section,
-    default_side_cap,
     diagram_from_trace,
     find_contiguity,
     find_gamma_cells,
@@ -21,7 +20,6 @@ from burnlab.diagrams import (
 )
 from burnlab.errors import InputError, StateError
 from burnlab.oracle import OracleBudget
-from burnlab.presentation import SmallCancellationParams
 from burnlab.words import Word, inverse_letters, reduce_letters, splice_reduce
 
 from diagram_corpus import EXPECTED, build_corpus, presentations
@@ -97,25 +95,19 @@ class TestFrozenVerdicts:
 
 
 class TestContiguity:
-    def test_glued_degrees(self, corpus, pres):
+    def test_glued_degrees(self, corpus):
         for name, degree, q2 in (("c04-glued-third", Fraction(1, 3), 1),
                                  ("c05-glued-two-thirds", Fraction(2, 3), 2)):
-            key, diagram = corpus[name]
-            recs = find_contiguity(diagram, "cellA", "cellB", pres[key].params)
+            _, diagram = corpus[name]
+            recs = find_contiguity(diagram, "cellA", "cellB")
             assert [(r.degree, r.q2_length) for r in recs] == [(degree, q2)], name
 
-    def test_unknown_ids_rejected(self, corpus, pres):
-        key, diagram = corpus["c04-glued-third"]
+    def test_unknown_ids_rejected(self, corpus):
+        _, diagram = corpus["c04-glued-third"]
         with pytest.raises(InputError, match="no cell"):
-            find_contiguity(diagram, "nope", "cellB", pres[key].params)
+            find_contiguity(diagram, "nope", "cellB")
         with pytest.raises(InputError, match="no target"):
-            find_contiguity(diagram, "cellA", "nope", pres[key].params)
-
-    def test_default_side_cap(self):
-        small = SmallCancellationParams(k=3, allow_small_k=True)
-        assert default_side_cap(small, 1) == 1
-        big = SmallCancellationParams(k=2001)
-        assert default_side_cap(big, 5) == 5
+            find_contiguity(diagram, "cellA", "nope")
 
     def test_gamma_cells(self, corpus, pres):
         key, pentagon = corpus["c06-pentagon-k5"]
