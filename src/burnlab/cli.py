@@ -329,6 +329,10 @@ def cmd_diagram_check(cfg: SessionConfig, args: argparse.Namespace) -> int:
             got_a = {key: row[key] for key in ("A1", "A2", "A3")}
             if ok != rep.ok or (rep.ok and want is not None and want != got_a):
                 mismatches.append(p.stem)
+    checked = {p.stem for p in paths}
+    unmatched = [name for name in expected if name not in checked]
+    if unmatched:
+        raise InputError("expected verdicts name no checked diagram: %s" % ", ".join(unmatched))
 
     if cfg.fmt == "json":
         text_out = json.dumps(rows, sort_keys=True, indent=2) + "\n"

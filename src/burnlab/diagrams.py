@@ -33,6 +33,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import InputError, InvariantViolation, StateError
 from .oracle import OracleBudget, Verdict, inverse_letters
+from .presentation import read_field
 from .words import CyclicWord, Word, _letter_token, _token_letter, min_rotation, reduce_letters
 
 
@@ -118,17 +119,45 @@ class Diagram:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Diagram":
+        """The diagram a parsed JSON document describes.  A malformed field
+        raises InputError naming its path (``edges[2].label``)."""
         try:
-            edges = [Edge(id=e["id"], src=e["from"], dst=e["to"],
-                          label=_token_letter(e["label"]),
-                          inverse_id=e["inverse_id"])
-                     for e in data["edges"]]
-            faces = [Face(id=f["id"], boundary=tuple(f["boundary"]),
-                          role=f["role"], rank=f.get("rank"))
-                     for f in data["faces"]]
-            return cls(topology=data["topology"], vertices=data["vertices"],
-                       edges=edges, faces=faces, contours=data["contours"])
-        except (KeyError, TypeError) as exc:
+            # the fields present are type-checked before a missing one is named
+            top = {key: read_field(data, key, kind, default=None) for key, kind in (
+                ("topology", "string"), ("vertices", "strings"), ("edges", "list"),
+                ("faces", "list"), ("contours", "list"))}
+            missing = [key for key, value in top.items() if value is None]
+            if missing:
+                raise InputError("missing field %s" % missing[0])
+            edges = []
+            for i, e in enumerate(top["edges"]):
+                at = "edges[%d]." % i
+                eid = read_field(e, at + "id", "string")
+                src = read_field(e, at + "from", "string")
+                dst = read_field(e, at + "to", "string")
+                token = read_field(e, at + "label", "string")
+                try:
+                    label = _token_letter(token)
+                except InputError as exc:
+                    raise InputError("field %slabel: %s" % (at, exc)) from None
+                inverse_id = read_field(e, at + "inverse_id", "string")
+                edges.append(Edge(eid, src, dst, label, inverse_id))
+            faces = []
+            for i, f in enumerate(top["faces"]):
+                at = "faces[%d]." % i
+                fid = read_field(f, at + "id", "string")
+                boundary = tuple(read_field(f, at + "boundary", "strings"))
+                role = read_field(f, at + "role", "string")
+                rank = None if f.get("rank") is None else read_field(f, at + "rank", "int")
+                faces.append(Face(fid, boundary, role, rank))
+            contours = [
+                # a one-key object, so that read_field names the list item
+                read_field({"contours[%d]" % i: c}, "contours[%d]" % i, "strings")
+                for i, c in enumerate(top["contours"])
+            ]
+            return cls(topology=top["topology"], vertices=top["vertices"], edges=edges,
+                       faces=faces, contours=contours)
+        except InputError as exc:
             raise InputError("malformed diagram: %s" % exc) from None
 
     @classmethod

@@ -44,7 +44,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BurnlabError, InputError
 from .words import (
@@ -274,12 +274,17 @@ class RelatorSystem:
                     contexts.append(_Context(rot, ri, sign, shift))
         self.contexts = tuple(contexts)
         self._inv_context_letters = tuple(inverse_letters(c.letters) for c in contexts)
-        by_first: dict[int, list[int]] = {}
-        for i, c in enumerate(contexts):
-            by_first.setdefault(c.letters[0], []).append(i)
+        # the record (ci, T, T^-1, |T|) of each context, as the successor
+        # generators unpack it
+        self._records = tuple(
+            (i, c.letters, t_inv, len(c.letters))
+            for i, (c, t_inv) in enumerate(zip(contexts, self._inv_context_letters)))
+        by_first: dict[int, list[tuple]] = {}
+        for rec in self._records:
+            by_first.setdefault(rec[1][0], []).append(rec)
         self.by_first = {k: tuple(v) for k, v in by_first.items()}
         self.max_relator_len = max((len(r.word) for r in self.relators), default=0)
-        self._insertion_candidates: dict[tuple, tuple[int, ...]] = {}
+        self._insertion_candidates: dict[tuple, tuple[tuple, ...]] = {}
         self.lattice = IntegerLattice(
             [exponent_vector(r.word, alphabet.size) for r in self.relators], alphabet.size
         )
@@ -303,10 +308,10 @@ class RelatorSystem:
             margins.append(len(rel.word) - 6 * run)
         self.ab_margin = min(margins) if margins else None
 
-    def insertion_candidates(self, room: int, before: tuple[int, ...], right: int) -> tuple[int, ...]:
-        """Ascending indices of the contexts T whose whole-relator insertion
-        T^-1 just before the letter `right` may stay within `room` extra
-        letters, and is not also an overlap move (T does not start with
+    def insertion_candidates(self, room: int, before: tuple[int, ...], right: int) -> tuple[tuple, ...]:
+        """Records, by ascending index, of the contexts T whose whole-relator
+        insertion T^-1 just before the letter `right` may stay within `room`
+        extra letters, and is not also an overlap move (T does not start with
         `right`).  Over the room, the insertion must cancel at least
         ceil((|T| - room) / 2) letters of its left neighbours `before`, so T
         must end with the last min(2, |before|, that many) of them; a 0 in
@@ -315,11 +320,11 @@ class RelatorSystem:
         hit = self._insertion_candidates.get(key)
         if hit is None:
             out = []
-            for i, c in enumerate(self.contexts):
-                T = c.letters
-                need = min(2, len(before), (len(T) - room + 1) // 2)
+            for rec in self._records:
+                _, T, _, L = rec
+                need = min(2, len(before), (L - room + 1) // 2)
                 if T[0] != right and (need <= 0 or T[-need:] == before[-need:]):
-                    out.append(i)
+                    out.append(rec)
             hit = self._insertion_candidates[key] = tuple(out)
         return hit
 
@@ -503,82 +508,136 @@ class RankOracle:
     # successor generation -------------------------------------------------
     #
     # Both generators number the moves of a state 1, 2, ... in a fixed
-    # enumeration order; the budget charges that number.  They yield
-    # (succ, move, ordinal) only for moves whose result is within the cap and
-    # not a repeat of an earlier overlap of the same context at the same
-    # place, then (None, None, total).  The moves of one context T matching
-    # the word on l letters there, ov = 1..l and the insertion ov = 0, all
-    # give (T[l:])^-1 followed by the rest of the word, so only ov = 1 is
-    # built; every other move is counted without constructing its word.
+    # enumeration order; the budget charges that number.  Each returns a
+    # list of (succ, move, ordinal) for the moves whose result is within the
+    # cap and not a repeat of an earlier overlap of the same context at the
+    # same place, ending with (None, None, total).  The moves of one context
+    # T matching the word on l letters there, ov = 1..l and the insertion
+    # ov = 0, all give (T[l:])^-1 followed by the rest of the word, so only
+    # ov = 1 is built; every other move is counted without constructing its
+    # word.  The loops unpack the context records (ci, T, T^-1, |T|) that
+    # `RelatorSystem.by_first` and the `insertion_candidates` memo hand out,
+    # reading the memo inline and calling `insertion_candidates` on a miss.
+    #
+    # A move's result has |w| + |T| - 2l - 2j letters, j being the letters
+    # that cancel where the inserted piece meets the word: j <= jmax, and the
+    # result shrinks further only when a whole piece cancels (j == jmax).
+    # The linear generator counts j at the left seam inline and builds the
+    # word only when it fits.  A cyclic overlap of v with T first tests
+    # whether it can fit: with k = ceil((|v| + |T| - 2l - cap) / 2) > 0, a
+    # core within the cap needs j >= min(k, jmax), jmax = min(|T|, |v|) - l,
+    # so v and T must end in the same min(k, jmax) letters; the last letter
+    # is compared first, and `_cyclic_splice` runs only when they agree.
 
-    def _linear_successors(self, w: tuple[int, ...], cap: int) -> Iterator[tuple]:
+    def _linear_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
         """At each position p: the overlap moves (p, ci, ov), ov = 1..l, of
         every context matching w[p:] on l letters, then the insertions
-        (p, ci, 0) of every context."""
+        (p, ci, 0) of every context.  A successor is w[:p] (T[l:])^-1 w[p+l:]
+        freely reduced: w[p:p+l] == T[:l] with l maximal, so only the left
+        seam can cancel, and when the inserted piece cancels completely the
+        two ends of w may cancel further."""
         sys_ = self.system
-        contexts = sys_.contexts
-        inv = sys_._inv_context_letters
+        by_first = sys_.by_first
+        memo = sys_._insertion_candidates
+        ncontexts = len(sys_.contexts)
         n = len(w)
+        room = cap - n
         padded = (0, 0) + w  # 0 marks the word boundary, where cancelling stops
+        out = []
         done = 0
         for p in range(n + 1):
-            right = w[p] if p < n else 0
-            for ci in sys_.by_first.get(right, ()):
-                T = contexts[ci].letters
-                lmax = min(len(T), n - p)
+            rest = n - p
+            right = w[p] if rest else 0
+            left = padded[p + 1]  # w[p - 1], or 0 at the start
+            for ci, T, T_inv, L in by_first.get(right, ()):
+                lmax = L if L < rest else rest
                 l = 1
                 while l < lmax and T[l] == w[p + l]:
                     l += 1
-                # over the cap unless a letter cancels at the left seam
-                # (a cyclic core may shrink further, so the cyclic
-                # generator has no such test)
-                if n + len(T) - 2 * l <= cap or (p and w[p - 1] == T[-1]):
-                    succ = _linear_splice(w, p, T, inv[ci], l, cap)
-                    if succ is not None:
-                        yield succ, (p, ci, 1), done + 1
                 done += l
-            for ci in sys_.insertion_candidates(cap - n, padded[p : p + 2], right):
-                succ = _linear_splice(w, p, contexts[ci].letters, inv[ci], 0, cap)
-                if succ is not None:
-                    yield succ, (p, ci, 0), done + ci + 1
-            done += len(contexts)
-        yield None, None, done
+                excess = L - 2 * l - room
+                # over the cap unless a letter cancels at the left seam
+                if excess > 0 and left != T[-1]:
+                    continue
+                m = L - l
+                j, jmax = 0, p if p < m else m
+                while j < jmax and w[p - 1 - j] == T[L - 1 - j]:
+                    j += 1
+                a, b = p - j, p + l
+                if j == m:  # w[:a] now meets w[b:] and may cancel further
+                    while a and b < n and w[a - 1] == -w[b]:
+                        a -= 1
+                        b += 1
+                elif excess > 2 * j:
+                    continue
+                out.append((w[:a] + T_inv[j:m] + w[b:], (p, ci, 1), done - l + 1))
+            before = padded[p : p + 2]
+            inserts = memo.get((room, before, right))
+            if inserts is None:
+                inserts = sys_.insertion_candidates(room, before, right)
+            for ci, T, T_inv, L in inserts:
+                j, jmax = 0, p if p < L else L
+                while j < jmax and w[p - 1 - j] == T[L - 1 - j]:
+                    j += 1
+                a, b = p - j, p
+                if j == L:
+                    while a and b < n and w[a - 1] == -w[b]:
+                        a -= 1
+                        b += 1
+                elif L - 2 * j > room:
+                    continue
+                out.append((w[:a] + T_inv[j:] + w[b:], (p, ci, 0), done + ci + 1))
+            done += ncontexts
+        out.append((None, None, done))
+        return out
 
-    def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> Iterator[tuple]:
+    def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
         """For each rotation v = w[start:] + w[:start]: the overlap moves
         (start, ci, ov), ov = 1..l, of every context matching v on l letters,
         then the insertions (start, ci, 0) whose core is within the cap (an
         insertion over the cap is not counted).  Results are canonical
         rotations of cyclic cores."""
         sys_ = self.system
-        contexts = sys_.contexts
-        inv = sys_._inv_context_letters
+        by_first = sys_.by_first
+        memo = sys_._insertion_candidates
         n = len(w)
+        room = cap - n
+        out = []
         done = 0
         for start in range(max(1, n)):
             v = w[start:] + w[:start]
             right = v[0] if n else 0
             repeats = []  # contexts whose insertion repeats an in-cap overlap move
-            for ci in sys_.by_first.get(right, ()):
-                T = contexts[ci].letters
-                lmax = min(len(T), n)
+            for ci, T, T_inv, L in by_first.get(right, ()):
+                lmax = L if L < n else n
                 l = 1
                 while l < lmax and T[l] == v[l]:
                     l += 1
-                core = _cyclic_splice(v, T, inv[ci], l, cap)
-                if core is not None:
-                    yield core, (start, ci, 1), done + 1
-                    repeats.append(ci)
                 done += l
+                k = (L - 2 * l - room + 1) // 2
+                if k > 0:
+                    # the last min(k, jmax) letters must match, jmax = lmax - l
+                    need = k if k < lmax - l else lmax - l
+                    if need and (v[-1] != T[-1] or need > 1 and v[-need:] != T[-need:]):
+                        continue
+                core = _cyclic_splice(v, T, T_inv, l, cap)
+                if core is not None:
+                    out.append((core, (start, ci, 1), done - l + 1))
+                    repeats.append(ci)
             built = 0
             # v wraps around, so no boundary stops the trimming
-            for ci in sys_.insertion_candidates(cap - n, v[-2:], right):
-                core = _cyclic_splice(v, contexts[ci].letters, inv[ci], 0, cap)
+            before = v[-2:]
+            inserts = memo.get((room, before, right))
+            if inserts is None:
+                inserts = sys_.insertion_candidates(room, before, right)
+            for ci, T, T_inv, _ in inserts:
+                core = _cyclic_splice(v, T, T_inv, 0, cap)
                 if core is not None:
                     built += 1
-                    yield core, (start, ci, 0), done + built + bisect_left(repeats, ci)
+                    out.append((core, (start, ci, 0), done + built + bisect_left(repeats, ci)))
             done += built + len(repeats)
-        yield None, None, done
+        out.append((None, None, done))
+        return out
 
     # closure ---------------------------------------------------------------
 
@@ -854,28 +913,6 @@ def _letters(u: Sequence[int] | Word) -> tuple[int, ...]:
     if isinstance(u, Word):
         return u.letters
     return reduce_letters(u)
-
-
-def _linear_splice(w: tuple[int, ...], p: int, T: tuple[int, ...], T_inv: tuple[int, ...],
-                   l: int, cap: int) -> Optional[tuple[int, ...]]:
-    """w[:p] (T[l:])^-1 w[p+l:] freely reduced, or None when it is longer than
-    cap.  w[p:p+l] == T[:l] with l maximal, so only the left seam can cancel;
-    the length is |w| + |T| - 2l - 2 * (letters cancelled at that seam),
-    unless the inserted piece cancels completely, which leaves at most
-    |w| - |T| letters."""
-    L = len(T)
-    m = L - l
-    j, jmax = 0, min(p, m)
-    while j < jmax and w[p - 1 - j] == T[L - 1 - j]:
-        j += 1
-    a, b = p - j, p + l
-    if j == m:  # w[:a] now meets w[b:] and may cancel further
-        while a and b < len(w) and w[a - 1] == -w[b]:
-            a -= 1
-            b += 1
-    elif len(w) + m - l - 2 * j > cap:
-        return None
-    return w[:a] + T_inv[j:m] + w[b:]
 
 
 def _cyclic_splice(v: tuple[int, ...], T: tuple[int, ...], T_inv: tuple[int, ...],

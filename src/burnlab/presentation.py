@@ -31,6 +31,7 @@ from .words import (
     Word,
     cyclic_rep,
     cyclically_reduced_words,
+    inverse_letters,
     is_ab_letter,
     min_rotation,
     shortlex_key,
@@ -276,6 +277,7 @@ class GradedPresentation:
         self._approximate: list[bool] = []
         self._systems: dict[int, RelatorSystem] = {}
         self._oracles: dict[int, RankOracle] = {}
+        self._power_reps: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         for periods, approximate in ranks:
             self._append_rank(periods, approximate)
 
@@ -295,13 +297,6 @@ class GradedPresentation:
             raise StateError("rank %d not built (have 1..%d)" % (rank, self.max_rank))
         return self._approximate[rank - 1]
 
-    def all_periods(self, up_to: Optional[int] = None) -> list[tuple[int, Word]]:
-        top = self.max_rank if up_to is None else up_to
-        out = []
-        for j in range(1, top + 1):
-            out.extend((j, p) for p in self.periods(j))
-        return out
-
     def _append_rank(self, periods: Sequence[Word], approximate: bool) -> None:
         rank = len(self._periods) + 1
         checked = []
@@ -319,6 +314,17 @@ class GradedPresentation:
             checked.append(p)
         self._periods.append(tuple(checked))
         self._approximate.append(bool(approximate))
+
+    def _period_power_reps(self, rank: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(t, cyclic_rep(p^t)) for each period p of `rank` in order and
+        t = 1..k-1; computed once, as the periods of a built rank never
+        change."""
+        hit = self._power_reps.get(rank)
+        if hit is None:
+            hit = self._power_reps[rank] = tuple(
+                (t, cyclic_rep(p.letters * t))
+                for p in self.periods(rank) for t in range(1, self.params.k))
+        return hit
 
     def relators(self, rank: int) -> list[Relator]:
         if rank < 0 or rank > self.max_rank:
@@ -382,9 +388,8 @@ class GradedPresentation:
         comp = oracle._closure(w, cap, budget, cyclic=True)
 
         # explicit period powers first: crisper reasons than the generic scan
-        for j, p in self.all_periods(rank):
-            for t in range(1, self.params.k):
-                target = cyclic_rep(p.letters * t)
+        for j in range(1, rank + 1):
+            for t, target in self._period_power_reps(j):
                 if len(target) <= cap and target in comp.parents:
                     return SimplicityVerdict(
                         "not-simple", "period-power",
@@ -423,6 +428,7 @@ class GradedPresentation:
         verdicts = [self.is_simple(Word(t), rank, budget) for t in candidates]
 
         admitted: list[Word] = []
+        admitted_reps: list[tuple[tuple[int, ...], ...]] = []  # of each period and its inverse
         records: list[CandidateRecord] = []
         approximate = False
         cap = n + budget.max_ball_radius
@@ -436,23 +442,15 @@ class GradedPresentation:
                 approximate = True
                 continue
             comp = oracle._closure(t, cap, budget, cyclic=True)
-            duplicate = None
-            undecided = not comp.complete
-            for x in admitted:
-                for other in (x.letters, tuple(-l for l in reversed(x.letters))):
-                    if cyclic_rep(other) in comp.parents:
-                        duplicate = x
-                        break
-                if duplicate is not None:
-                    break
-            if duplicate is not None:
+            if any(rep in comp.parents for reps in admitted_reps for rep in reps):
                 records.append(CandidateRecord(name, "rejected", "conjugate-duplicate"))
                 continue
-            if undecided:
+            if not comp.complete:
                 records.append(CandidateRecord(name, "unknown", "budget"))
                 approximate = True
                 continue
             admitted.append(Word(t))
+            admitted_reps.append((cyclic_rep(t), cyclic_rep(inverse_letters(t))))
             records.append(CandidateRecord(name, "admitted", None))
 
         self._append_rank(admitted, approximate)

@@ -33,6 +33,18 @@ def letter_key(letter: int) -> int:
     return -2 * letter - 1
 
 
+class _LetterKeys(dict):
+    """letter -> letter_key(letter), filled on first use, so that hot loops
+    map whole words through the C-level `dict.__getitem__`."""
+
+    def __missing__(self, letter: int) -> int:
+        key = self[letter] = letter_key(letter)
+        return key
+
+
+_letter_key_of = _LetterKeys().__getitem__
+
+
 def is_ab_letter(letter: int) -> bool:
     return letter in (1, -1, 2, -2)
 
@@ -150,7 +162,7 @@ def min_rotation(t: Sequence[int]) -> tuple[int, ...]:
     n = len(t)
     if n <= 1:
         return t
-    keys = tuple(map(letter_key, t))
+    keys = tuple(map(_letter_key_of, t))
     least = min(keys)
     doubled = keys + keys
     best = keys.index(least)
@@ -174,7 +186,7 @@ def cyclic_rep(t: Sequence[int]) -> tuple[int, ...]:
 
 
 def shortlex_key(t: Sequence[int]) -> tuple:
-    return (len(t), tuple(letter_key(x) for x in t))
+    return (len(t), tuple(map(_letter_key_of, t)))
 
 
 def exponent_vector(t: Sequence[int], size: int) -> tuple[int, ...]:

@@ -251,6 +251,39 @@ class TestDiagramCheck:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    def test_expected_name_without_diagram_exits_2_naming_it(self, workspace, tmp_path,
+                                                             capsys):
+        exp = tmp_path / "expected.json"
+        exp.write_text(json.dumps({"c01-typo": {"ok": False},
+                                   "c01-cell-s1cubed": {"ok": True},
+                                   "c99-missing": {"ok": True}}))
+        rc = cli.main(["diagram-check",
+                       str(DIAGRAM_DIR / "c01-cell-s1cubed.json"),
+                       "--expected", str(exp),
+                       "--presentation", presentation_path(workspace, 1),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "all expected verdicts reproduced" not in out
+        assert err.count("\n") == 1 and "no checked diagram: c01-typo, c99-missing" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"faces": 5}, "field faces must be a list, got 5"),
+        ([], "document root must be an object, got []"),
+        ({"vertices": 3, "edges": [], "faces": []},
+         "field vertices must be a list of strings, got 3"),
+    ])
+    def test_malformed_diagram_exits_2_naming_its_field(self, workspace, tmp_path, capsys,
+                                                        doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(["diagram-check", str(bad),
+                       "--presentation", presentation_path(workspace, 1),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "malformed diagram: " + message in err
+
 
 class TestStructure:
     def test_clean_presentation_passes(self, workspace, tmp_path):

@@ -252,6 +252,24 @@ class TestCodec:
         with pytest.raises(InputError):
             Diagram.from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("edges", 1, "label"), "q", "field edges[1].label: unknown letter token 'q'"),
+        (("edges", 0, "to"), 7, "field edges[0].to must be a string, got 7"),
+        (("faces", 0, "boundary"), "e1", "field faces[0].boundary must be a list of strings"),
+        (("faces", 0, "rank"), 1.5, "field faces[0].rank must be an integer, got 1.5"),
+        (("contours", 0), [1], "field contours[0] must be a list of strings, got [1]"),
+    ])
+    def test_nested_field_errors_name_their_path(self, corpus, path, value, message):
+        data = corpus["c01-cell-s1cubed"][1].to_dict()
+        *outer, key = path
+        node = data
+        for part in outer:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(InputError) as info:
+            Diagram.from_dict(data)
+        assert str(info.value).startswith("malformed diagram: " + message)
+
     def test_unknown_edge_in_face_caught_by_validation(self, corpus, pres):
         key, diagram = corpus["c01-cell-s1cubed"]
         data = diagram.to_dict()

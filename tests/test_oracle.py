@@ -45,14 +45,15 @@ raw_m1 = st.lists(letters_m1, max_size=8)
 
 # Reference move enumerators: every move of a state in enumeration order,
 # each built by splice_reduce.  The oracle's generators must yield exactly the
-# in-cap, non-repeated ones of these, under the same 1-based ordinals.
+# in-cap, non-repeated ones of these, under the same 1-based ordinals.  They
+# scan the contexts themselves instead of the oracle's matching tables.
 
 def reference_linear_moves(system, w):
     contexts, inv = system.contexts, system._inv_context_letters
     n = len(w)
     for p in range(n + 1):
         if p < n:
-            for ci in system.by_first.get(w[p], ()):
+            for ci in (i for i, c in enumerate(contexts) if c.letters[0] == w[p]):
                 T = contexts[ci].letters
                 lmax = min(len(T), n - p)
                 l = 0
@@ -72,7 +73,7 @@ def reference_cyclic_moves(system, w, cap):
     for start in range(max(1, n)):
         v = w[start:] + w[:start]
         if n:
-            for ci in system.by_first.get(v[0], ()):
+            for ci in (i for i, c in enumerate(contexts) if c.letters[0] == v[0]):
                 T = contexts[ci].letters
                 lmax = min(len(T), n)
                 l = 0
@@ -415,12 +416,14 @@ class TestSuccessorGenerators:
 
     @pytest.fixture(scope="class")
     def systems(self, p_k3_m1_r1, p_k3_m1_r2):
-        # the third relator has subwords that are not cyclically reduced
-        # (a.b.A), so a core whose inserted piece trims away keeps shrinking
+        # the last two relators have subwords that are not cyclically reduced
+        # (a.b.A), so a core whose inserted piece trims away keeps shrinking;
+        # in the cube such a subword is long enough to start over the cap
         return [p_k3_m1_r1.relator_system(1), p_k3_m1_r2.relator_system(2),
-                RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 2)])]
+                RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 2)]),
+                RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 3)])]
 
-    @given(seq=raw_m1, which=st.integers(0, 2), cyclic=st.booleans(),
+    @given(seq=raw_m1, which=st.integers(0, 3), cyclic=st.booleans(),
            slack=st.integers(0, 5), stop=st.booleans(),
            max_applications=st.sampled_from([1, 7, 100, 2500, 50_000]))
     # a whole relator inside the word: deleting it leaves a.A to cancel
@@ -445,11 +448,16 @@ class TestSuccessorGenerators:
         assert (comp.applications, comp.states, comp.complete, dict(comp.parents),
                 comp.min_word) == expected
 
-    @given(seq=raw_m1, which=st.integers(0, 2), cyclic=st.booleans(),
+    @given(seq=raw_m1, which=st.integers(0, 3), cyclic=st.booleans(),
            slack=st.integers(0, 5))
     # the context b.A.s1.a.b.A.s1.a matches all of the word b; the rest of
     # it, inverted to A.S1.a.B.A.S1.a, still trims to a 5-letter core
     @example(seq=[2], which=2, cyclic=True, slack=4)
+    # the context (a.b.A.s1)^3 matches a.b.A.s1 at the front of the word and,
+    # with its last letter, the word's last letter s1; the 7-letter rest
+    # a.B.A.S1.a.B.A is 2 over the cap, and only its own ends trim it to a
+    # 5-letter core
+    @example(seq=[1, 2, -1, 3, 3], which=3, cyclic=True, slack=0)
     @settings(max_examples=150, deadline=None)
     def test_yields_are_reference_moves_in_cap(self, systems, seq, which, cyclic, slack):
         system = systems[which]

@@ -181,6 +181,11 @@ class TestCodec:
     def test_letter_order_is_a_A_b_B_s1_S1(self):
         assert sorted([3, -1, 2, 1, -3, -2], key=letter_key) == [1, -1, 2, -2, 3, -3]
 
+    @given(st.lists(st.integers(-11, 11).filter(bool), max_size=12))
+    def test_shortlex_key_is_length_then_letter_keys(self, t):
+        # letters up to s9 = 11; the table fills in each letter on first use
+        assert shortlex_key(t) == (len(t), tuple(letter_key(x) for x in t))
+
     @given(raw_m1, raw_m1)
     def test_shortlex_orders_by_length_first(self, a, b):
         u, v = Word(a), Word(b)
