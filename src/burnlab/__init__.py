@@ -7,7 +7,7 @@ random-walk estimation, and van Kampen diagram checking.
 """
 
 from .errors import BurnlabError, InputError, InvariantViolation, StateError
-from .words import Alphabet, CyclicWord, Word, cyclic_shifts, periodic_word, reduce
+from .words import Alphabet, CyclicWord, Word, periodic_word, reduce
 
 __version__ = "0.1.0"
 
@@ -19,7 +19,6 @@ __all__ = [
     "InvariantViolation",
     "StateError",
     "Word",
-    "cyclic_shifts",
     "periodic_word",
     "reduce",
     "__version__",

@@ -32,7 +32,11 @@ The move budget counts moves in a fixed enumeration order, including moves
 whose result is over the length cap or repeats an earlier move of the same
 state.  Such moves are counted arithmetically and never built: a successor's
 reduced length follows from the overlap and the seam cancellations, and all
-overlaps of one context at one position give the same word.
+overlaps of one context at one position give the same word.  A linear move
+whose inserted piece cancels against the letter on its left repeats the
+earlier move one place left with the context rotated by one: when
+w[p-1] == T[-1], w[:p] T^-1 w[p:] = w[:p-1] T[:-1]^-1 w[p:]
+= w[:p-1] (T[-1] T[:-1])^-1 w[p-1:].
 """
 
 from __future__ import annotations
@@ -314,8 +318,7 @@ class RelatorSystem:
         extra letters, and is not also an overlap move (T does not start with
         `right`).  Over the room, the insertion must cancel at least
         ceil((|T| - room) / 2) letters of its left neighbours `before`, so T
-        must end with the last min(2, |before|, that many) of them; a 0 in
-        `before` marks a word boundary, where cancelling stops."""
+        must end with the last min(2, |before|, that many) of them."""
         key = (room, before, right)
         hit = self._insertion_candidates.get(key)
         if hit is None:
@@ -504,6 +507,9 @@ class RankOracle:
         self.default_budget = default_budget or OracleBudget()
         self._lin: tuple[dict, dict] = ({}, {})
         self._cyc: tuple[dict, dict] = ({}, {})
+        # (room, left, right) -> records of the contexts T with T[0] != right,
+        # T[-1] != left and |T| <= room, as `_linear_successors` inserts them
+        self._linear_inserts: dict[tuple, tuple[tuple, ...]] = {}
 
     # successor generation -------------------------------------------------
     #
@@ -511,83 +517,76 @@ class RankOracle:
     # enumeration order; the budget charges that number.  Each returns a
     # list of (succ, move, ordinal) for the moves whose result is within the
     # cap and not a repeat of an earlier overlap of the same context at the
-    # same place, ending with (None, None, total).  The moves of one context
+    # same place (nor, in the linear search, of a move one place left; see
+    # below), ending with (None, None, total).  The moves of one context
     # T matching the word on l letters there, ov = 1..l and the insertion
     # ov = 0, all give (T[l:])^-1 followed by the rest of the word, so only
     # ov = 1 is built; every other move is counted without constructing its
     # word.  The loops unpack the context records (ci, T, T^-1, |T|) that
-    # `RelatorSystem.by_first` and the `insertion_candidates` memo hand out,
-    # reading the memo inline and calling `insertion_candidates` on a miss.
+    # `RelatorSystem.by_first` and the insertion memos hand out.
     #
     # A move's result has |w| + |T| - 2l - 2j letters, j being the letters
     # that cancel where the inserted piece meets the word: j <= jmax, and the
     # result shrinks further only when a whole piece cancels (j == jmax).
-    # The linear generator counts j at the left seam inline and builds the
-    # word only when it fits.  A cyclic overlap of v with T first tests
-    # whether it can fit: with k = ceil((|v| + |T| - 2l - cap) / 2) > 0, a
-    # core within the cap needs j >= min(k, jmax), jmax = min(|T|, |v|) - l,
-    # so v and T must end in the same min(k, jmax) letters; the last letter
-    # is compared first, and `_cyclic_splice` runs only when they agree.
+    # In the linear search a move with j >= 1 (w[p-1] == T[-1]) repeats the
+    # move at p-1 with the context T[-1] T[:-1]: w[:p] T^-1 w[p:] =
+    # w[:p-1] T[:-1]^-1 w[p:] = w[:p-1] (T[-1] T[:-1])^-1 w[p-1:].  So each
+    # chain of repeats has one member with j == 0, its leftmost, and the
+    # linear generator builds only those.  A cyclic overlap of v with T
+    # first tests whether it can fit: with k = ceil((|v| + |T| - 2l - cap)
+    # / 2) > 0, a core within the cap needs j >= min(k, jmax),
+    # jmax = min(|T|, |v|) - l, so v and T must end in the same min(k, jmax)
+    # letters; the last letter is compared first, and `_cyclic_splice` runs
+    # only when they agree.
 
     def _linear_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
         """At each position p: the overlap moves (p, ci, ov), ov = 1..l, of
         every context matching w[p:] on l letters, then the insertions
         (p, ci, 0) of every context.  A successor is w[:p] (T[l:])^-1 w[p+l:]
-        freely reduced: w[p:p+l] == T[:l] with l maximal, so only the left
-        seam can cancel, and when the inserted piece cancels completely the
-        two ends of w may cancel further."""
+        freely reduced, with l maximal, so its right seam never cancels.  A
+        move whose left seam cancels (w[p-1] == T[-1]) repeats the move at
+        p-1 with T rotated by one, so only moves with w[p-1] != T[-1] are
+        built: their word has |w| + |T| - 2l letters, and only when the whole
+        context matches (l == |T|) do the two ends of w cancel further."""
         sys_ = self.system
         by_first = sys_.by_first
-        memo = sys_._insertion_candidates
-        ncontexts = len(sys_.contexts)
+        records = sys_._records
+        memo = self._linear_inserts
+        ncontexts = len(records)
         n = len(w)
         room = cap - n
-        padded = (0, 0) + w  # 0 marks the word boundary, where cancelling stops
         out = []
         done = 0
+        left = 0  # w[p - 1], or 0 at the start
         for p in range(n + 1):
             rest = n - p
             right = w[p] if rest else 0
-            left = padded[p + 1]  # w[p - 1], or 0 at the start
             for ci, T, T_inv, L in by_first.get(right, ()):
                 lmax = L if L < rest else rest
                 l = 1
                 while l < lmax and T[l] == w[p + l]:
                     l += 1
                 done += l
-                excess = L - 2 * l - room
-                # over the cap unless a letter cancels at the left seam
-                if excess > 0 and left != T[-1]:
+                if left == T[-1] or L - 2 * l > room:
                     continue
-                m = L - l
-                j, jmax = 0, p if p < m else m
-                while j < jmax and w[p - 1 - j] == T[L - 1 - j]:
-                    j += 1
-                a, b = p - j, p + l
-                if j == m:  # w[:a] now meets w[b:] and may cancel further
+                if l < L:
+                    succ = w[:p] + T_inv[:L - l] + w[p + l:]
+                else:  # w[:a] now meets w[b:] and may cancel further
+                    a, b = p, p + L
                     while a and b < n and w[a - 1] == -w[b]:
                         a -= 1
                         b += 1
-                elif excess > 2 * j:
-                    continue
-                out.append((w[:a] + T_inv[j:m] + w[b:], (p, ci, 1), done - l + 1))
-            before = padded[p : p + 2]
-            inserts = memo.get((room, before, right))
+                    succ = w[:a] + w[b:]
+                out.append((succ, (p, ci, 1), done - l + 1))
+            inserts = memo.get((room, left, right))
             if inserts is None:
-                inserts = sys_.insertion_candidates(room, before, right)
-            for ci, T, T_inv, L in inserts:
-                j, jmax = 0, p if p < L else L
-                while j < jmax and w[p - 1 - j] == T[L - 1 - j]:
-                    j += 1
-                a, b = p - j, p
-                if j == L:
-                    while a and b < n and w[a - 1] == -w[b]:
-                        a -= 1
-                        b += 1
-                elif L - 2 * j > room:
-                    continue
-                out.append((w[:a] + T_inv[j:] + w[b:], (p, ci, 0), done + ci + 1))
+                inserts = memo[room, left, right] = tuple(
+                    r for r in records if r[3] <= room and r[1][0] != right and r[1][-1] != left)
+            head, tail = w[:p], w[p:]
+            for ci, _, T_inv, _ in inserts:
+                out.append((head + T_inv + tail, (p, ci, 0), done + ci + 1))
             done += ncontexts
+            left = right
         out.append((None, None, done))
         return out
 

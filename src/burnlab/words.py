@@ -416,12 +416,6 @@ class CyclicWord:
         return "CyclicWord(%r)" % format_letters(self.rep)
 
 
-def cyclic_shifts(word: Word) -> list[Word]:
-    """All rotations of the cyclic reduction of word."""
-    core, _ = cyclic_reduce_letters(word.letters)
-    return [Word._raw(t) for t in rotations(core)]
-
-
 def free_conjugate(u: Word, v: Word) -> bool:
     """Free-group conjugacy: cyclic reductions are rotations of each other."""
     return CyclicWord(u.letters) == CyclicWord(v.letters)

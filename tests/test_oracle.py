@@ -489,6 +489,20 @@ class TestSuccessorGenerators:
             built.setdefault(succ, ordinal)
         assert built == firsts
 
+    @given(seq=raw_m1, which=st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_left_seam_move_repeats_rotated_move_one_place_left(self, systems, seq, which):
+        # w[:p] T^-1 w[p:] == w[:p-1] (T[-1] T[:-1])^-1 w[p-1:] when
+        # w[p-1] == T[-1]: the linear generator builds no such move
+        system = systems[which]
+        w = Word(seq).letters
+        index = {c.letters: ci for ci, c in enumerate(system.contexts)}
+        words = {move: succ for succ, move in reference_linear_moves(system, w)}
+        for (p, ci, _), succ in words.items():
+            T = system.contexts[ci].letters
+            if p and w[p - 1] == T[-1]:
+                assert succ == words[p - 1, index[T[-1:] + T[:-1]], 1]
+
 
 class TestConjugators:
     def test_find_conjugator_closes_the_loop(self, o1, budget):
