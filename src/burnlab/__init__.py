@@ -7,7 +7,7 @@ random-walk estimation, and van Kampen diagram checking.
 """
 
 from .errors import BurnlabError, InputError, InvariantViolation, StateError
-from .words import Alphabet, CyclicWord, Word, periodic_word, reduce
+from .words import Alphabet, CyclicWord, Word, periodic_word
 
 __version__ = "0.1.0"
 
@@ -20,6 +20,5 @@ __all__ = [
     "StateError",
     "Word",
     "periodic_word",
-    "reduce",
     "__version__",
 ]

@@ -5,7 +5,7 @@ Counting conventions:
 * gamma_G(r) counts canonical elements of the radius-r ball at the working
   rank; merges happen exactly when the oracle certifies equality, so an
   incomplete canonicalization makes the count an upper bound and the rows
-  carry flags {exact, upper-bound, partial} rather than silent numbers.
+  carry flags {exact, upper-bound} rather than silent numbers.
 * gamma_H(r) counts elements written over {a,b}.  When the relator system
   has a positive ab-lengthening margin those words are pairwise distinct
   geodesics, so the free rank-2 closed form 2*3^r - 1 is exact.
@@ -40,13 +40,6 @@ from .words import (
 
 FLAG_EXACT = "exact"
 FLAG_UPPER = "upper-bound"
-FLAG_PARTIAL = "partial"
-
-_FLAG_ORDER = {FLAG_EXACT: 0, FLAG_UPPER: 1, FLAG_PARTIAL: 2}
-
-
-def _worse(a: str, b: str) -> str:
-    return a if _FLAG_ORDER[a] >= _FLAG_ORDER[b] else b
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,6 @@ class BallResult:
 
 def enumerate_ball(presentation, rank: int, radius: int,
                    budget: Optional[OracleBudget] = None,
-                   max_elements: Optional[int] = None,
                    letters: Optional[Sequence[int]] = None) -> BallResult:
     """Breadth-first ball enumeration with certified merging.
 
@@ -79,7 +71,6 @@ def enumerate_ball(presentation, rank: int, radius: int,
     if radius < 0:
         raise InputError("radius must be >= 0")
     oracle = presentation.oracle(rank)
-    budget = budget or oracle.default_budget
     gens = sorted(letters if letters is not None else presentation.alphabet.letters(),
                   key=letter_key)
     flag = FLAG_EXACT
@@ -90,19 +81,16 @@ def enumerate_ball(presentation, rank: int, radius: int,
         new: list[tuple[int, ...]] = []
         for w in frontier:
             for x in gens:
-                if max_elements is not None and len(known) >= max_elements:
-                    return BallResult(rank, d - 1, tuple(sorted(known, key=shortlex_key)),
-                                      tuple(spheres), FLAG_PARTIAL)
                 u = splice_reduce(w, (x,), ())
                 canon, complete = oracle.canonical(u, budget)
                 if not complete:
-                    flag = _worse(flag, FLAG_UPPER)
+                    flag = FLAG_UPPER
                 if canon in known:
                     continue
                 if len(canon) < d:
                     # a shorter canonical form surfacing late means some merge
                     # was missed at an earlier level; keep counting, flag it
-                    flag = _worse(flag, FLAG_UPPER)
+                    flag = FLAG_UPPER
                 known.add(canon)
                 new.append(canon)
         new.sort(key=shortlex_key)
@@ -140,17 +128,13 @@ def growth(presentation, rank: int, n_max: int,
         raise InputError("subgroup must be 'G' or 'H'")
     letters = None if subgroup == "G" else [1, -1, 2, -2]
     ball = enumerate_ball(presentation, rank, n_max, budget, letters=letters)
-    rows = []
-    flag = FLAG_EXACT
+    flag = ball.flag
     if subgroup == "H" and rank >= 1:
         margin = presentation.relator_system(rank).ab_margin
         if margin is None or margin <= 0:
             flag = FLAG_UPPER
-    for r in range(min(n_max, ball.radius) + 1):
-        row_flag = _worse(flag, ball.flag if ball.flag != FLAG_PARTIAL or r >= ball.radius
-                          else FLAG_EXACT)
-        rows.append((r, ball.ball_count(r), row_flag))
-    return GrowthTable(series="gamma_%s" % subgroup, rank=rank, rows=tuple(rows))
+    rows = tuple((r, ball.ball_count(r), flag) for r in range(n_max + 1))
+    return GrowthTable(series="gamma_%s" % subgroup, rank=rank, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -266,7 +250,6 @@ def hg_union_elements(presentation, rank: int, n: int,
     """Union-of-conjugates enumeration: canonical forms of V K V^-1 over
     K in B_H(n) (as written words) and V in B_G(floor((n-|K|)/2))."""
     oracle = presentation.oracle(rank)
-    budget = budget or oracle.default_budget
     ball = enumerate_ball(presentation, rank, n // 2, budget)
     flag = ball.flag
     by_norm: dict[int, list[tuple[int, ...]]] = {}
@@ -280,7 +263,7 @@ def hg_union_elements(presentation, rank: int, n: int,
                 w = splice_reduce(v, k_word, tuple(-x for x in reversed(v)))
                 canon, complete = oracle.canonical(w, budget)
                 if not complete:
-                    flag = _worse(flag, FLAG_UPPER)
+                    flag = FLAG_UPPER
                 out.add(canon)
     return out, flag
 
@@ -329,8 +312,6 @@ def density_HG(presentation, rank: int, n: int,
         return DensityRow(n, ball, FLAG_EXACT, hg, hg, FLAG_EXACT,
                           Fraction(hg, ball), Fraction(hg, ball), bound)
 
-    oracle = presentation.oracle(rank)
-    budget = budget or oracle.default_budget
     ball = enumerate_ball(presentation, rank, n, budget)
     elements, flag = hg_union_elements(presentation, rank, n, budget)
     hg_hi = len(elements)

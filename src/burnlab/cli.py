@@ -43,9 +43,8 @@ CONFIG_ENV = "BURNLAB_CONFIG"
 
 _PARAM_KEYS = ("k", "alpha", "beta", "gamma", "epsilon", "zeta", "h",
                "allow_small_k")
-# budget fields and their read_field kinds; a null field keeps its default
-_BUDGET_KINDS = {"max_ball_radius": "int", "max_relator_applications": "int",
-                 "max_conjugator_length": "int", "time_cap": "number"}
+# the OracleBudget fields, each an integer; a null field keeps its default
+_BUDGET_FIELDS = ("max_ball_radius", "max_relator_applications", "max_conjugator_length")
 
 # desk-scale defaults: k=3 needs the epsilon*k bound waived, which the params
 # gate records as a caveat rather than hiding
@@ -95,7 +94,7 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
         for key in ("m", "seed", "out_dir", "format"):
             if key in loaded:
                 data[key] = loaded[key]
-        for block, allowed in (("params", _PARAM_KEYS), ("budget", _BUDGET_KINDS)):
+        for block, allowed in (("params", _PARAM_KEYS), ("budget", _BUDGET_FIELDS)):
             sub = loaded.get(block, {})
             if not isinstance(sub, dict):
                 raise InputError("config %s must be an object" % block)
@@ -111,7 +110,7 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
         value = getattr(args, "param_" + key, None)
         if value is not None:
             data["params"][key] = value
-    for key in _BUDGET_KINDS:
+    for key in _BUDGET_FIELDS:
         value = getattr(args, key, None)
         if value is not None:
             data["budget"][key] = value
@@ -128,8 +127,8 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
     seed = None if data["seed"] is None else read_field(data, "seed", "int")
     params = SmallCancellationParams.from_dict(data["params"])
     budget = OracleBudget(**{
-        key: read_field(data["budget"], "budget." + key, kind)
-        for key, kind in _BUDGET_KINDS.items()
+        key: read_field(data["budget"], "budget." + key, "int")
+        for key in _BUDGET_FIELDS
         if data["budget"].get(key) is not None})
     return SessionConfig(m=m, params=params, budget=budget, seed=seed,
                          out_dir=Path(read_field(data, "out_dir", "string")),
@@ -406,8 +405,6 @@ def _common_parser() -> argparse.ArgumentParser:
     b.add_argument("--max-ball-radius", type=int, metavar="N")
     b.add_argument("--max-relator-applications", type=int, metavar="N")
     b.add_argument("--max-conjugator-length", type=int, metavar="N")
-    b.add_argument("--time-cap", type=float, metavar="SECONDS",
-                   help="wall-clock cap; trades determinism away")
     return common
 
 

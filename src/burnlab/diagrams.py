@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InvariantViolation, StateError
-from .oracle import OracleBudget, Verdict, inverse_letters
+from .oracle import OracleBudget, ReplayError, Verdict, inverse_letters
 from .presentation import read_field
 from .words import CyclicWord, Word, _letter_token, _token_letter, min_rotation, reduce_letters
 
@@ -522,7 +522,6 @@ def check_condition_A(diagram: Diagram, presentation,
     params = presentation.params
     k = params.k
     oracle = presentation.oracle(validation.r_delta)
-    budget = budget or oracle.default_budget
 
     a1 = []
     for f in diagram.cells():
@@ -601,7 +600,6 @@ def check_smooth_section(diagram: Diagram, section: Sequence[str], rank: int,
     for eid in section:
         diagram.edge(eid)
     oracle = presentation.oracle(min(rank, presentation.max_rank))
-    budget = budget or oracle.default_budget
     geo = _geodesic_items(diagram, oracle, budget, "section", section,
                           max(rank, 2), cyclic=False)
     params = presentation.params
@@ -797,19 +795,24 @@ class _Builder:
 def diagram_from_trace(presentation, start: Word, witness: dict) -> Diagram:
     """Build the circular diagram traced by an equality witness whose steps
     reduce `start` to the empty word."""
+    system = presentation.relator_system(presentation.max_rank)
     b = _Builder(start.letters)
     for step in witness.get("steps", ()):
         op = step.get("op")
         if op == "free-cancel":
             b.cancel(step["position"])
         elif op == "relator-insert":
-            rel = next((cand for cand in presentation.relators(presentation.max_rank)
-                        if cand.id == step["relator-id"]), None)
-            if rel is None:
+            try:
+                rel = system.relator_by_id(step["relator-id"])
+            except ReplayError:
                 raise InputError("witness names unknown relator %r"
                                  % step["relator-id"])
-            base = rel.word if step["sign"] == 1 else inverse_letters(rel.word)
-            shift = step["shift"]
+            sign, shift = step["sign"], step["shift"]
+            if sign not in (1, -1):
+                raise InputError("relator-insert has bad sign %r" % (sign,))
+            if not 0 <= shift < len(rel.word):
+                raise InputError("relator-insert has bad shift %r" % (shift,))
+            base = rel.word if sign == 1 else inverse_letters(rel.word)
             material = base[shift:] + base[:shift]
             b.insert(step["position"], material, rel.rank)
         else:
@@ -826,7 +829,6 @@ def search_vk_certificate(presentation, w: Word, rank: int,
     if max_cells < 0:
         raise InputError("max_cells must be >= 0")
     oracle = presentation.oracle(rank)
-    budget = budget or oracle.default_budget
     verdict = oracle.equal(w, Word(()), budget)
     if verdict.is_no:
         return CertificateResult("certified-none", None, 0, verdict)

@@ -44,7 +44,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,13 +89,14 @@ class OracleBudget:
         of the same state is counted without constructing its word.
     max_conjugator_length: recorded bound for conjugacy searches; None means
         ceil(alpha_bar * (|U| + |V|)) computed per query.
-    time_cap: optional wall-clock seconds; using it trades determinism away.
+
+    Every cap counts letters or moves, never time, so a query's verdict is
+    the same on every run and host.
     """
 
     max_ball_radius: int = 4
     max_relator_applications: int = 50_000
     max_conjugator_length: Optional[int] = None
-    time_cap: Optional[float] = None
 
     def __post_init__(self):
         if self.max_ball_radius < 0:
@@ -105,13 +105,15 @@ class OracleBudget:
             raise InputError("max_relator_applications must be >= 1")
         if self.max_conjugator_length is not None and self.max_conjugator_length < 0:
             raise InputError("max_conjugator_length must be >= 0")
-        if self.time_cap is not None and self.time_cap <= 0:
-            raise InputError("time_cap must be positive")
 
     def conjugator_bound(self, len_u: int, len_v: int, alpha_bar: Fraction) -> int:
         if self.max_conjugator_length is not None:
             return self.max_conjugator_length
         return math.ceil(alpha_bar * (len_u + len_v))
+
+
+# the budget of every query, command and report that is given none
+DEFAULT_BUDGET = OracleBudget()
 
 
 @dataclass(frozen=True)
@@ -502,9 +504,8 @@ class RankOracle:
     Writes to the memo are idempotent: a component is a pure function of
     (start, cap, application budget)."""
 
-    def __init__(self, system: RelatorSystem, default_budget: Optional[OracleBudget] = None):
+    def __init__(self, system: RelatorSystem):
         self.system = system
-        self.default_budget = default_budget or OracleBudget()
         self._lin: tuple[dict, dict] = ({}, {})
         self._cyc: tuple[dict, dict] = ({}, {})
         # (room, left, right) -> records of the contexts T with T[0] != right,
@@ -657,8 +658,7 @@ class RankOracle:
         hit = complete_memo.get((start, cap))
         if hit is not None and hit.applications <= budget.max_relator_applications:
             return hit
-        pkey = (start, cap, budget.max_relator_applications, target, stop_on_ab,
-                budget.time_cap)
+        pkey = (start, cap, budget.max_relator_applications, target, stop_on_ab)
         hit = partial_memo.get(pkey)
         if hit is not None:
             return hit
@@ -668,7 +668,6 @@ class RankOracle:
             complete_memo[(start, cap)] = comp
             return comp
 
-        deadline = None if budget.time_cap is None else time.monotonic() + budget.time_cap
         # margin shortcut: every relator application lengthens an {a,b} word
         # past the cap, so the component is provably the singleton.
         margin = self.system.ab_margin
@@ -714,9 +713,6 @@ class RankOracle:
                     stopped = True
                     break
             if stopped:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                comp.complete = False
                 break
         if comp.complete:
             complete_memo[(start, cap)] = comp
@@ -764,7 +760,7 @@ class RankOracle:
     # budget plumbing -------------------------------------------------------
 
     def _budget(self, budget: Optional[OracleBudget]) -> OracleBudget:
-        return budget or self.default_budget
+        return budget or DEFAULT_BUDGET
 
     def _linear_cap(self, w: tuple[int, ...], budget: OracleBudget) -> int:
         """Length cap of a linear search from w: the ball radius above |w|,
@@ -870,15 +866,13 @@ class RankOracle:
         comp = self._closure(w, self._linear_cap(w, budget), budget, cyclic=False)
         return comp.min_word, comp.complete
 
-    def cyclic_canonical(self, u: Sequence[int] | Word, cap: Optional[int] = None,
+    def cyclic_canonical(self, u: Sequence[int] | Word,
                          budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
         budget = self._budget(budget)
         cu = cyclic_rep(_letters(u))
         if self.system.empty:
             return cu, True
-        if cap is None:
-            cap = len(cu) + budget.max_ball_radius
-        comp = self._closure(cu, cap, budget, cyclic=True)
+        comp = self._closure(cu, len(cu) + budget.max_ball_radius, budget, cyclic=True)
         return comp.min_word, comp.complete
 
     def conjugate(self, u: Sequence[int] | Word, v: Sequence[int] | Word,
@@ -933,17 +927,15 @@ def _cyclic_splice(v: tuple[int, ...], T: tuple[int, ...], T_inv: tuple[int, ...
 
 
 def find_conjugator(oracle: RankOracle, u: Sequence[int] | Word, v: Sequence[int] | Word,
-                    max_len: Optional[int] = None,
                     budget: Optional[OracleBudget] = None) -> Optional[Word]:
     """Literal conjugator search: smallest Z (shortlex, |Z| <= bound) with
     Z u Z^-1 = v certified.  Exponential in the bound; used for cross-checks."""
     budget = oracle._budget(budget)
     tu, tv = _letters(u), _letters(v)
-    if max_len is None:
-        max_len = budget.conjugator_bound(len(tu), len(tv), oracle.system.alpha_bar)
+    bound = budget.conjugator_bound(len(tu), len(tv), oracle.system.alpha_bar)
     from .words import reduced_words_up_to
 
-    for z in reduced_words_up_to(oracle.system.alphabet, max_len):
+    for z in reduced_words_up_to(oracle.system.alphabet, bound):
         cand = splice_reduce(z, tu, inverse_letters(z))
         if oracle.equal(cand, tv, budget).is_yes:
             return Word(z)

@@ -19,13 +19,12 @@ are filtered syntactically before any oracle work ("free-power").
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, StateError
-from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem
+from .oracle import DEFAULT_BUDGET, OracleBudget, RankOracle, Relator, RelatorSystem
 from .words import (
     Alphabet,
     Word,
@@ -55,8 +54,7 @@ def _fraction_field(value) -> Fraction:
 
 _REQUIRED = object()
 # the field kinds read_field knows, with the noun its messages use
-_FIELD_KINDS = {"int": "an integer", "number": "a finite number",
-                "bool": "true or false",
+_FIELD_KINDS = {"int": "an integer", "bool": "true or false",
                 "rational": "an exact rational", "list": "a list",
                 "string": "a string", "strings": "a list of strings",
                 "object": "an object"}
@@ -91,9 +89,6 @@ def read_field(doc, path: str, kind: str, default=_REQUIRED):
         if isinstance(value, float) and value.is_integer():
             value = int(value)
         ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind == "number":
-        ok = (isinstance(value, int) and not isinstance(value, bool)
-              or isinstance(value, float) and math.isfinite(value))
     elif kind == "rational":
         try:
             value = _fraction_field(value)
@@ -363,7 +358,7 @@ class GradedPresentation:
         the sense in which an approximate build is approximate.
         """
         oracle = self.oracle(rank)
-        budget = budget or oracle.default_budget
+        budget = budget or DEFAULT_BUDGET
         w = cyclic_rep(word.letters)
         if not w:
             return SimplicityVerdict("not-simple", "shorter-or-power", "freely trivial")
@@ -423,7 +418,7 @@ class GradedPresentation:
         rank = self.max_rank
         n = rank + 1
         oracle = self.oracle(rank)
-        budget = budget or oracle.default_budget
+        budget = budget or DEFAULT_BUDGET
         candidates = canonical_cyclic_candidates(self.alphabet, n)
         verdicts = [self.is_simple(Word(t), rank, budget) for t in candidates]
 
@@ -492,10 +487,8 @@ class GradedPresentation:
                     failures.append(("P1", j, "period %s malformed" % p.format()))
 
         for j in range(1, self.max_rank + 1):
-            oracle = self.oracle(j - 1)
-            use = budget or oracle.default_budget
             for p in self.periods(j):
-                verdict = self.is_simple(p, j - 1, use)
+                verdict = self.is_simple(p, j - 1, budget)
                 if verdict.status == "not-simple":
                     failures.append(
                         ("P2", j, "period %s fails simplicity: %s"
@@ -509,12 +502,11 @@ class GradedPresentation:
 
         for j in range(1, self.max_rank + 1):
             oracle = self.oracle(j - 1)
-            use = budget or oracle.default_budget
             ps = self.periods(j)
             for i1 in range(len(ps)):
                 for i2 in range(i1 + 1, len(ps)):
                     for other in (ps[i2], ~ps[i2]):
-                        verdict = oracle.conjugate(ps[i1], other, use)
+                        verdict = oracle.conjugate(ps[i1], other, budget)
                         if verdict.is_yes:
                             failures.append(
                                 ("P3", j, "periods %s and %s are conjugate in rank %d"
@@ -554,8 +546,8 @@ class GradedPresentation:
             ],
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "GradedPresentation":

@@ -281,16 +281,6 @@ class LawEstimate:
     wilson_hi: float
     exact: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "law": self.law, "mode": self.mode, "n": self.n,
-            "trials": self.trials, "holds": self.holds, "fails": self.fails,
-            "unknown": self.unknown,
-            "p_lo": str(self.p_lo), "p_hi": str(self.p_hi),
-            "wilson_lo": self.wilson_lo, "wilson_hi": self.wilson_hi,
-            "exact": self.exact,
-        }
-
 
 def _wilson(successes: int, trials: int) -> tuple[float, float]:
     if trials == 0:
@@ -315,7 +305,7 @@ def _estimate(law_text, mode, n, holds, fails, unknown, exact=False) -> LawEstim
 
 
 def _tally(oracle: RankOracle, words: Iterable[Word],
-           budget: OracleBudget) -> tuple[int, int, int]:
+           budget: Optional[OracleBudget]) -> tuple[int, int, int]:
     """(holds, fails, unknown) of `w = 1` over `words`, repeats counted.
     Each distinct word is queried once, in first-seen order: verdicts do
     not depend on memo warmth, so a repeat would give the same verdict."""
@@ -328,20 +318,18 @@ def _tally(oracle: RankOracle, words: Iterable[Word],
 
 def sample_uniform_ball(presentation, rank: int, n: int, rng: random.Random,
                         budget: Optional[OracleBudget] = None,
-                        require_exact: bool = True,
                         _cache: Optional[dict] = None) -> Word:
     """One uniform draw from the radius-n ball at the given rank.
 
     Uniformity is over certified-distinct elements, so an inexact ball would
-    silently bias the measure; by default that is refused."""
+    silently bias the measure; that is refused."""
     key = (rank, n)
     if _cache is not None and key in _cache:
         elements = _cache[key]
     else:
         ball = enumerate_ball(presentation, rank, n, budget)
-        if require_exact and ball.flag != FLAG_EXACT:
-            raise StateError("ball(%d) at rank %d is %s, not exact; "
-                             "pass require_exact=False to sample anyway"
+        if ball.flag != FLAG_EXACT:
+            raise StateError("ball(%d) at rank %d is %s, not exact"
                              % (n, rank, ball.flag))
         elements = ball.elements
         if _cache is not None:
@@ -377,7 +365,6 @@ def law_probability(presentation, law: GroupLaw, rank: int, mode: str, n: int,
     Sampled modes need trials >= 1 and a seed.
     """
     oracle = presentation.oracle(rank)
-    budget = budget or oracle.default_budget
     arity = law.arity
 
     if mode == "exhaustive":
@@ -463,7 +450,6 @@ def torsion_dichotomy_test(presentation, g: Word, rank: int,
     independently; an element may legitimately certify on both (the identity
     does)."""
     oracle = presentation.oracle(rank)
-    budget = budget or oracle.default_budget
     k = presentation.params.k
     torsion = oracle.equal(g ** k, Word(()), budget)
     into_h = oracle.conjugate_into_ab(g, budget)
@@ -503,7 +489,6 @@ def quotient_return_probability(presentation, rank: int, steps: int,
     if presentation.alphabet.m < 1:
         raise InputError("quotient walk needs at least one s-generator")
     oracle = RankOracle(quotient_system(presentation, rank))
-    budget = budget or oracle.default_budget
     if nu is None:
         nu = StepDistribution.lazy_uniform([Word((3,)), Word((-3,))])
     rng = random.Random(seed)

@@ -336,38 +336,14 @@ class Word:
         """z * self * z^-1."""
         return Word._raw(splice_reduce(z.letters, self.letters, inverse_letters(z.letters)))
 
-    def inverse(self) -> "Word":
-        return ~self
-
     def is_identity(self) -> bool:
         return not self.letters
-
-    def is_ab(self) -> bool:
-        """True when every letter lies in the {a, b} subalphabet (the
-        distinguished free subgroup H)."""
-        return all(is_ab_letter(x) for x in self.letters)
 
     def is_cyclically_reduced(self) -> bool:
         return is_cyclically_reduced(self.letters)
 
-    def cyclic_reduce(self) -> tuple["Word", "Word"]:
-        """Return (core, conj) with self == conj * core * conj^-1 and core
-        cyclically reduced."""
-        core, conj = cyclic_reduce_letters(self.letters)
-        return Word._raw(core), Word._raw(conj)
-
-    def exponent_vector(self, size: int) -> tuple[int, ...]:
-        return exponent_vector(self.letters, size)
-
     def __repr__(self) -> str:
         return "Word(%r)" % self.format()
-
-
-def reduce(word: Word | Sequence[int]) -> Word:
-    """Freely reduce; accepts a Word or a raw letter sequence."""
-    if isinstance(word, Word):
-        return word
-    return Word(word)
 
 
 class CyclicWord:
@@ -408,9 +384,6 @@ class CyclicWord:
 
     def shifts(self) -> list[Word]:
         return [Word._raw(t) for t in rotations(self.rep)]
-
-    def is_ab(self) -> bool:
-        return all(is_ab_letter(x) for x in self.rep)
 
     def __repr__(self) -> str:
         return "CyclicWord(%r)" % format_letters(self.rep)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from burnlab.cayley import (
     FLAG_EXACT,
-    FLAG_PARTIAL,
     FLAG_UPPER,
     QuadExt,
     density_HG,
@@ -94,11 +93,6 @@ class TestBallEnumeration:
         ball = enumerate_ball(free_m1, 0, 3, budget, letters=AB_LETTERS)
         assert ball.count == free_ball_size(2, 3)
         assert all(abs(x) <= 2 for el in ball.elements for x in el)
-
-    def test_max_elements_goes_partial(self, free_m1, budget):
-        ball = enumerate_ball(free_m1, 0, 3, budget, max_elements=10)
-        assert ball.flag == FLAG_PARTIAL
-        assert ball.count >= 10 and ball.radius < 3
 
     def test_negative_radius_rejected(self, free_m1, budget):
         with pytest.raises(InputError):

@@ -213,6 +213,14 @@ class TestCertificates:
             diagram_from_trace(p3, Word.parse("s1s1s1"), {"steps": [
                 {"op": "relator-insert", "position": 0, "relator-id": "x9.9",
                  "sign": 1, "shift": 0}]})
+        # steps replay_trace refuses; each once built a valid 1-cell diagram
+        cancels = [{"op": "free-cancel", "position": p} for p in (2, 1, 0)]
+        for sign, shift, message in ((7, 0, "bad sign"), (1, 3, "bad shift"),
+                                     (1, -3, "bad shift")):
+            insert = {"op": "relator-insert", "position": 0, "relator-id": "x1.0",
+                      "sign": sign, "shift": shift}
+            with pytest.raises(InputError, match=message):
+                diagram_from_trace(p3, Word.parse("s1s1s1"), {"steps": [insert] + cancels})
 
 
 class TestReducedness:

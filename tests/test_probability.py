@@ -103,7 +103,7 @@ def reference_quotient_return(presentation, rank, steps, trials, seed, nu):
     rng = random.Random(seed)
     words = [reference_walk(nu, steps, rng) for _ in range(trials)]
     return _estimate("x = 1 (quotient walk)", "walk", steps,
-                     *reference_tally(oracle, words, oracle.default_budget))
+                     *reference_tally(oracle, words, None))
 
 
 class EdgeRandom(random.Random):
@@ -287,9 +287,6 @@ class TestSampling:
     def test_inexact_ball_refused(self, p_k3_m1_r2):
         with pytest.raises(StateError, match="upper-bound"):
             sample_uniform_ball(p_k3_m1_r2, 2, 2, random.Random(1), TINY)
-        w = sample_uniform_ball(p_k3_m1_r2, 2, 2, random.Random(1), TINY,
-                                require_exact=False)
-        assert isinstance(w, Word)
 
 
 class TestLawProbability:
