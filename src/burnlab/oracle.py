@@ -28,14 +28,15 @@ of a rotated relator by the inverse of its complement.  Every such move
 equals inserting one whole rotated relator and then freely cancelling, which
 is exactly what traces record and the replayer performs.
 
-The move budget counts moves in a fixed enumeration order, including moves
-whose result is over the length cap or repeats an earlier move of the same
-state.  Such moves are counted arithmetically and never built: a successor's
-reduced length follows from the overlap and the seam cancellations, and all
-overlaps of one context at one position give the same word.  A linear move
-whose inserted piece cancels against the letter on its left repeats the
-earlier move one place left with the context rotated by one: when
-w[p-1] == T[-1], w[:p] T^-1 w[p:] = w[:p-1] T[:-1]^-1 w[p:]
+The move budget counts the moves that reach a word the search has not seen,
+so a search holds at most budget + 1 words.  The count depends only on the
+order in which words are first reached, so a move that cannot reach a new
+word may be skipped unbuilt: a move over the length cap (a successor's reduced
+length follows from the overlap and the seam cancellations), every overlap of
+one context at one position after the first (they all give the same word),
+and a linear move whose inserted piece cancels against the letter on its
+left, which repeats the earlier move one place left with the context rotated
+by one: when w[p-1] == T[-1], w[:p] T^-1 w[p:] = w[:p-1] T[:-1]^-1 w[p:]
 = w[:p-1] (T[-1] T[:-1])^-1 w[p-1:].
 """
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -81,12 +81,10 @@ class OracleBudget:
 
     max_ball_radius: extra reduced length, above the query words, that the
         rewriting search may visit.
-    max_relator_applications: number of rewriting moves enumerated.  The
-        linear search counts every (position, context, overlap) move; the
-        cyclic search counts every overlap move and every whole-relator
-        insertion whose result is within the cap.  Moves are counted, not
-        necessarily built: a move over the cap or repeating an earlier move
-        of the same state is counted without constructing its word.
+    max_relator_applications: number of rewriting moves that reach a word
+        not yet in the search's component, so a search holds at most this
+        many words plus its start.  Moves over the cap, and moves to a word
+        already reached, are not charged.
     max_conjugator_length: recorded bound for conjugacy searches; None means
         ceil(alpha_bar * (|U| + |V|)) computed per query.
 
@@ -502,7 +500,7 @@ class RankOracle:
     Complete rewriting components are memoized per (word, cap) key, so
     repeated queries against the same presentation snapshot are cheap.
     Writes to the memo are idempotent: a component is a pure function of
-    (start, cap, application budget)."""
+    (start, cap, move budget)."""
 
     def __init__(self, system: RelatorSystem):
         self.system = system
@@ -514,17 +512,17 @@ class RankOracle:
 
     # successor generation -------------------------------------------------
     #
-    # Both generators number the moves of a state 1, 2, ... in a fixed
-    # enumeration order; the budget charges that number.  Each returns a
-    # list of (succ, move, ordinal) for the moves whose result is within the
-    # cap and not a repeat of an earlier overlap of the same context at the
-    # same place (nor, in the linear search, of a move one place left; see
-    # below), ending with (None, None, total).  The moves of one context
-    # T matching the word on l letters there, ov = 1..l and the insertion
-    # ov = 0, all give (T[l:])^-1 followed by the rest of the word, so only
-    # ov = 1 is built; every other move is counted without constructing its
-    # word.  The loops unpack the context records (ci, T, T^-1, |T|) that
-    # `RelatorSystem.by_first` and the insertion memos hand out.
+    # Both generators return a list of (succ, move) in a fixed enumeration
+    # order, for the moves whose result is within the cap and not a repeat of
+    # an earlier overlap of the same context at the same place (nor, in the
+    # linear search, of a move one place left; see below).  The closure
+    # charges a move only when its word is new, so the generators must reach
+    # each new word first by the same move as the full enumeration.  The moves
+    # of one context T matching the word on l letters there, ov = 1..l and
+    # the insertion ov = 0, all give (T[l:])^-1 followed by the rest of the
+    # word, so only ov = 1 is built.  The loops unpack the context records
+    # (ci, T, T^-1, |T|) that `RelatorSystem.by_first` and the insertion
+    # memos hand out.
     #
     # A move's result has |w| + |T| - 2l - 2j letters, j being the letters
     # that cancel where the inserted piece meets the word: j <= jmax, and the
@@ -553,11 +551,9 @@ class RankOracle:
         by_first = sys_.by_first
         records = sys_._records
         memo = self._linear_inserts
-        ncontexts = len(records)
         n = len(w)
         room = cap - n
         out = []
-        done = 0
         left = 0  # w[p - 1], or 0 at the start
         for p in range(n + 1):
             rest = n - p
@@ -567,7 +563,6 @@ class RankOracle:
                 l = 1
                 while l < lmax and T[l] == w[p + l]:
                     l += 1
-                done += l
                 if left == T[-1] or L - 2 * l > room:
                     continue
                 if l < L:
@@ -578,42 +573,36 @@ class RankOracle:
                         a -= 1
                         b += 1
                     succ = w[:a] + w[b:]
-                out.append((succ, (p, ci, 1), done - l + 1))
+                out.append((succ, (p, ci, 1)))
             inserts = memo.get((room, left, right))
             if inserts is None:
                 inserts = memo[room, left, right] = tuple(
                     r for r in records if r[3] <= room and r[1][0] != right and r[1][-1] != left)
             head, tail = w[:p], w[p:]
             for ci, _, T_inv, _ in inserts:
-                out.append((head + T_inv + tail, (p, ci, 0), done + ci + 1))
-            done += ncontexts
+                out.append((head + T_inv + tail, (p, ci, 0)))
             left = right
-        out.append((None, None, done))
         return out
 
     def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
         """For each rotation v = w[start:] + w[:start]: the overlap moves
         (start, ci, ov), ov = 1..l, of every context matching v on l letters,
-        then the insertions (start, ci, 0) whose core is within the cap (an
-        insertion over the cap is not counted).  Results are canonical
-        rotations of cyclic cores."""
+        then the insertions (start, ci, 0) whose core is within the cap.
+        Results are canonical rotations of cyclic cores."""
         sys_ = self.system
         by_first = sys_.by_first
         memo = sys_._insertion_candidates
         n = len(w)
         room = cap - n
         out = []
-        done = 0
         for start in range(max(1, n)):
             v = w[start:] + w[:start]
             right = v[0] if n else 0
-            repeats = []  # contexts whose insertion repeats an in-cap overlap move
             for ci, T, T_inv, L in by_first.get(right, ()):
                 lmax = L if L < n else n
                 l = 1
                 while l < lmax and T[l] == v[l]:
                     l += 1
-                done += l
                 k = (L - 2 * l - room + 1) // 2
                 if k > 0:
                     # the last min(k, jmax) letters must match, jmax = lmax - l
@@ -622,9 +611,7 @@ class RankOracle:
                         continue
                 core = _cyclic_splice(v, T, T_inv, l, cap)
                 if core is not None:
-                    out.append((core, (start, ci, 1), done - l + 1))
-                    repeats.append(ci)
-            built = 0
+                    out.append((core, (start, ci, 1)))
             # v wraps around, so no boundary stops the trimming
             before = v[-2:]
             inserts = memo.get((room, before, right))
@@ -633,10 +620,7 @@ class RankOracle:
             for ci, T, T_inv, _ in inserts:
                 core = _cyclic_splice(v, T, T_inv, 0, cap)
                 if core is not None:
-                    built += 1
-                    out.append((core, (start, ci, 0), done + built + bisect_left(repeats, ci)))
-            done += built + len(repeats)
-        out.append((None, None, done))
+                    out.append((core, (start, ci, 0)))
         return out
 
     # closure ---------------------------------------------------------------
@@ -685,35 +669,24 @@ class RankOracle:
         max_applications = budget.max_relator_applications
         min_key = shortlex_key(start)
         heap = [(min_key, start)]
-        stopped = False
-        while heap:
+        while heap and comp.complete:
             _, w = heapq.heappop(heap)
-            base = comp.applications
-            for succ, move, ordinal in successors(w, cap):
-                if base + ordinal > max_applications:
-                    comp.applications = max_applications + 1
-                    comp.complete = False
-                    stopped = True
-                    break
-                comp.applications = base + ordinal
-                if succ is None or succ in comp.parents:
+            for succ, move in successors(w, cap):
+                if succ in comp.parents:
                     continue
+                comp.applications += 1
+                if comp.applications > max_applications:
+                    comp.complete = False
+                    break
                 comp.parents[succ] = (w, move)
                 comp.states += 1
                 key = shortlex_key(succ)
                 if key < min_key:
                     comp.min_word, min_key = succ, key
                 heapq.heappush(heap, (key, succ))
-                if target is not None and succ == target:
+                if succ == target or stop_on_ab and all(is_ab_letter(x) for x in succ):
                     comp.complete = False
-                    stopped = True
                     break
-                if stop_on_ab and all(is_ab_letter(x) for x in succ):
-                    comp.complete = False
-                    stopped = True
-                    break
-            if stopped:
-                break
         if comp.complete:
             complete_memo[(start, cap)] = comp
         else:

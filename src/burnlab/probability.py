@@ -431,7 +431,7 @@ def law_probability_sweep(presentation, law: GroupLaw, rank: int, mode: str,
 @dataclass(frozen=True)
 class TorsionVerdict:
     word: str
-    status: str  # power-torsion | conjugate-into-H | both | unknown
+    status: str  # power-torsion | conjugate-into-H | both | neither | unknown
     torsion: Verdict
     into_h: Verdict
     exponent: int
@@ -444,7 +444,8 @@ class TorsionVerdict:
 def torsion_dichotomy_test(presentation, g: Word, rank: int,
                            budget: Optional[OracleBudget] = None) -> TorsionVerdict:
     """Classify g at the given rank: does g^k collapse to the identity, is g
-    conjugate into the ab-subgroup, both, or (budget) neither certified.
+    conjugate into the ab-subgroup, both, or neither (both verdicts no)?
+    Unknown when neither verdict is yes and one of them is unknown.
 
     Both branches are always attempted so the two witnesses can be replayed
     independently; an element may legitimately certify on both (the identity
@@ -459,6 +460,8 @@ def torsion_dichotomy_test(presentation, g: Word, rank: int,
         status = "power-torsion"
     elif into_h.is_yes:
         status = "conjugate-into-H"
+    elif torsion.is_no and into_h.is_no:
+        status = "neither"
     else:
         status = "unknown"
     return TorsionVerdict(word=g.format(), status=status, torsion=torsion,

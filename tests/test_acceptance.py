@@ -142,7 +142,7 @@ def test_torsion_dichotomy_total_with_replay(p_k3_m1_r2):
     assert ball.count == 159
     system = p_k3_m1_r2.relator_system(2)
     statuses = {"power-torsion": 0, "conjugate-into-H": 0, "both": 0,
-                "unknown": 0}
+                "neither": 0, "unknown": 0}
     bad_replays = 0
     for t in ball.elements:
         w = Word._raw(t)
@@ -157,9 +157,11 @@ def test_torsion_dichotomy_total_with_replay(p_k3_m1_r2):
                 bad_replays += 1
         if v.status == "both":
             assert v.torsion.is_yes and v.into_h.is_yes
+        if v.status == "unknown":
+            assert v.torsion.is_unknown or v.into_h.is_unknown
     assert bad_replays == 0
     assert statuses == {"power-torsion": 50, "conjugate-into-H": 60,
-                        "both": 1, "unknown": 48}
+                        "both": 1, "neither": 48, "unknown": 0}
     decided = sum(n for s, n in statuses.items() if s != "unknown")
     assert decided * 3 >= 2 * ball.count
 

@@ -415,12 +415,14 @@ class TestConfig:
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+BENCH_REFERENCE = Path(__file__).parent.parent / "bench" / "reference" / "bench"
+BENCH_INPUT = str(BENCH_REFERENCE / "input" / "presentation.json")
 
 
 class TestGoldenSamplingArtifacts:
-    """The sampling commands' artifacts, byte for byte, as recorded before
-    walks drew from precomputed thresholds and tallies queried each distinct
-    word once."""
+    """The sampling commands' artifacts, byte for byte: the walk artifacts as
+    recorded before walks drew from precomputed thresholds and tallies queried
+    each distinct word once, and the bench ball lawprob with no unknown."""
 
     @pytest.mark.parametrize("golden, argv", [
         ("rwalk-rank1-seed5.json",
@@ -435,9 +437,13 @@ class TestGoldenSamplingArtifacts:
                                 "--presentation", presentation_path(workspace, 1)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / golden).read_bytes()
 
-
-BENCH_REFERENCE = Path(__file__).parent.parent / "bench" / "reference" / "bench"
-BENCH_INPUT = str(BENCH_REFERENCE / "input" / "presentation.json")
+    def test_ball_lawprob_bytes_match_recorded(self, tmp_path):
+        # the bench `ball` workload's lawprob at its reference seed
+        out = tmp_path / "out.json"
+        assert cli.main(["lawprob", "--presentation", BENCH_INPUT, "--law", "x1^3",
+                         "--mode", "ball", "--rank", "2", "--radius", "3",
+                         "--trials", "2000", "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN_DIR / "lawprob-ball-rank2-seed7.json").read_bytes()
 
 
 class TestBenchReferenceBytes:

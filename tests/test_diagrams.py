@@ -163,7 +163,7 @@ class TestCertificates:
         none = search_vk_certificate(p3, Word.parse("a"), 1)
         assert none.status == "certified-none" and none.diagram is None
         assert none.verdict.is_no
-        stuck = search_vk_certificate(p3, Word.parse("a.s1.A.S1"), 1, budget=TINY)
+        stuck = search_vk_certificate(p3, Word.parse("a.s1.A.s1.s1"), 1, budget=TINY)
         assert stuck.status == "unknown" and stuck.diagram is None
 
     def test_cell_cap(self, pres):

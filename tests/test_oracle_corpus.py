@@ -27,8 +27,9 @@ BUDGETS = (
     ("default", OracleBudget()),
 )
 
-# a pair whose conjugacy the tiny budget leaves unknown at rank 2
-EXTRA_PAIRS = (("a", "AA"),)
+# hand-picked pairs: at rank 2 the tiny budget leaves the equality of the
+# second and the conjugacy of the third unknown, and the default decides both
+EXTRA_PAIRS = (("a", "AA"), ("a.a.s1.a.s1", "S1"), ("a.a.a.a.a.s1", "A.s1"))
 # conjugate-into-ab words with s-exponent 0 mod 3, so that the residue does
 # not decide them: exhaustion at rank 1, unknown at the tiny budget (rank 1)
 # and at the default budget (rank 2)

@@ -286,7 +286,7 @@ class TestSampling:
 
     def test_inexact_ball_refused(self, p_k3_m1_r2):
         with pytest.raises(StateError, match="upper-bound"):
-            sample_uniform_ball(p_k3_m1_r2, 2, 2, random.Random(1), TINY)
+            sample_uniform_ball(p_k3_m1_r2, 2, 4, random.Random(1), TINY)
 
 
 class TestLawProbability:
@@ -323,7 +323,7 @@ class TestLawProbability:
 
     def test_exhaustive_needs_exact_ball(self, p_k3_m1_r2):
         with pytest.raises(StateError, match="exact ball"):
-            law_probability(p_k3_m1_r2, GroupLaw.power(3), 2, "exhaustive", 2,
+            law_probability(p_k3_m1_r2, GroupLaw.power(3), 2, "exhaustive", 4,
                             budget=TINY)
 
     def test_sampled_mode_validation(self, p_k3_m1_r1, budget):
@@ -376,7 +376,8 @@ class TestTorsionDichotomy:
             "s1": "power-torsion",
             "a": "conjugate-into-H",
             "b.s1.B": "power-torsion",
-            "a.b.s1": "unknown",
+            "a.b.s1": "neither",
+            "a.a.s1.a": "unknown",
         }
         for text, status in cases.items():
             v = torsion_dichotomy_test(p_k3_m1_r2, Word.parse(text), 2, big)
@@ -400,7 +401,8 @@ class TestTorsionDichotomy:
         assert verify_into_ab_witness(system, a.letters, v2.into_h.witness)
 
     def test_unknown_has_no_witness(self, p_k3_m1_r2, big):
-        v = torsion_dichotomy_test(p_k3_m1_r2, Word.parse("a.b.s1"), 2, big)
+        v = torsion_dichotomy_test(p_k3_m1_r2, Word.parse("a.a.s1.a"), 2, big)
+        assert v.status == "unknown"
         assert v.torsion.witness is None and v.into_h.witness is None
 
 
