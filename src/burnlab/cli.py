@@ -44,7 +44,7 @@ CONFIG_ENV = "BURNLAB_CONFIG"
 _PARAM_KEYS = ("k", "alpha", "beta", "gamma", "epsilon", "zeta", "h",
                "allow_small_k")
 # the OracleBudget fields, each an integer; a null field keeps its default
-_BUDGET_FIELDS = ("max_ball_radius", "max_relator_applications", "max_conjugator_length")
+_BUDGET_FIELDS = ("max_ball_radius", "max_relator_applications")
 
 # desk-scale defaults: k=3 needs the epsilon*k bound waived, which the params
 # gate records as a caveat rather than hiding
@@ -404,7 +404,6 @@ def _common_parser() -> argparse.ArgumentParser:
     b = common.add_argument_group("oracle budget")
     b.add_argument("--max-ball-radius", type=int, metavar="N")
     b.add_argument("--max-relator-applications", type=int, metavar="N")
-    b.add_argument("--max-conjugator-length", type=int, metavar="N")
     return common
 
 

@@ -452,23 +452,31 @@ class CheckItem:
     detail: str
 
 
+def _fold(items: Sequence[CheckItem]) -> str:
+    """One status for a group of checks: fail over unknown over pass."""
+    statuses = {i.status for i in items}
+    return "fail" if "fail" in statuses else "unknown" if "unknown" in statuses else "pass"
+
+
+def _validated(diagram: Diagram, presentation,
+               validation: Optional[ValidationReport] = None) -> ValidationReport:
+    """The diagram's validation report (computed unless given); a checker
+    refuses a diagram that fails it."""
+    validation = validation or validate_diagram(diagram, presentation)
+    if not validation.ok:
+        raise StateError("diagram failed validation: %s" % (validation.errors[0],))
+    return validation
+
+
 @dataclass(frozen=True)
 class ConditionAReport:
     a1: tuple[CheckItem, ...]
     a2: tuple[CheckItem, ...]
     a3: tuple[CheckItem, ...]
 
-    def status(self, items) -> str:
-        if any(i.status == "fail" for i in items):
-            return "fail"
-        if any(i.status == "unknown" for i in items):
-            return "unknown"
-        return "pass"
-
     @property
     def summary(self) -> dict:
-        return {"A1": self.status(self.a1), "A2": self.status(self.a2),
-                "A3": self.status(self.a3)}
+        return {"A1": _fold(self.a1), "A2": _fold(self.a2), "A3": _fold(self.a3)}
 
 
 def _geodesic_items(diagram, oracle, budget, subject, edge_ids, window,
@@ -516,9 +524,7 @@ def check_condition_A(diagram: Diagram, presentation,
     are geodesic, tri-state via the oracle at r(diagram).
     A3: every cell-to-cell contiguity with degree >= epsilon has
     |q2| < (1+gamma)*rank(target)."""
-    validation = validation or validate_diagram(diagram, presentation)
-    if not validation.ok:
-        raise StateError("diagram failed validation: %s" % (validation.errors[0],))
+    validation = _validated(diagram, presentation, validation)
     params = presentation.params
     k = params.k
     oracle = presentation.oracle(validation.r_delta)
@@ -580,12 +586,7 @@ class SmoothSectionReport:
 
     @property
     def status(self) -> str:
-        items = self.geodesic + self.contiguity
-        if any(i.status == "fail" for i in items):
-            return "fail"
-        if any(i.status == "unknown" for i in items):
-            return "unknown"
-        return "pass"
+        return _fold(self.geodesic + self.contiguity)
 
 
 def check_smooth_section(diagram: Diagram, section: Sequence[str], rank: int,
@@ -634,9 +635,7 @@ def find_gamma_cells(diagram: Diagram, sections: Sequence[Sequence[str]],
     """Cells whose total contiguity degree to the declared (disjoint) contour
     sections exceeds gamma-bar = 1 - gamma.  Maximal gluing runs to disjoint
     sections are edge-disjoint on the cell boundary, so the sums just add."""
-    validation = validation or validate_diagram(diagram, presentation)
-    if not validation.ok:
-        raise StateError("diagram failed validation: %s" % (validation.errors[0],))
+    validation = _validated(diagram, presentation, validation)
     if validation.r_delta == 0:
         return GammaCellReport(False, "r(diagram) = 0: no cells to weigh",
                                (), {})
@@ -857,9 +856,7 @@ def check_reduced(diagram: Diagram, presentation, rank: Optional[int] = None,
     only certifies minimality among certificates up to the cap."""
     if diagram.topology != "circular":
         raise InputError("reducedness check handles circular diagrams only")
-    validation = validate_diagram(diagram, presentation)
-    if not validation.ok:
-        raise StateError("diagram failed validation: %s" % (validation.errors[0],))
+    validation = _validated(diagram, presentation)
     ncells = validation.counts["cells"]
     if rank is None:
         rank = presentation.max_rank

@@ -85,8 +85,6 @@ class OracleBudget:
         not yet in the search's component, so a search holds at most this
         many words plus its start.  Moves over the cap, and moves to a word
         already reached, are not charged.
-    max_conjugator_length: recorded bound for conjugacy searches; None means
-        ceil(alpha_bar * (|U| + |V|)) computed per query.
 
     Every cap counts letters or moves, never time, so a query's verdict is
     the same on every run and host.
@@ -94,20 +92,12 @@ class OracleBudget:
 
     max_ball_radius: int = 4
     max_relator_applications: int = 50_000
-    max_conjugator_length: Optional[int] = None
 
     def __post_init__(self):
         if self.max_ball_radius < 0:
             raise InputError("max_ball_radius must be >= 0")
         if self.max_relator_applications < 1:
             raise InputError("max_relator_applications must be >= 1")
-        if self.max_conjugator_length is not None and self.max_conjugator_length < 0:
-            raise InputError("max_conjugator_length must be >= 0")
-
-    def conjugator_bound(self, len_u: int, len_v: int, alpha_bar: Fraction) -> int:
-        if self.max_conjugator_length is not None:
-            return self.max_conjugator_length
-        return math.ceil(alpha_bar * (len_u + len_v))
 
 
 # the budget of every query, command and report that is given none
@@ -341,6 +331,11 @@ class RelatorSystem:
     def empty(self) -> bool:
         return not self.relators
 
+    def conjugator_bound(self, len_u: int, len_v: int) -> int:
+        """Conjugator length bound ceil(alpha_bar * (|u| + |v|)) recorded with
+        conjugacy verdicts."""
+        return math.ceil(self.alpha_bar * (len_u + len_v))
+
     def expvec(self, letters: Sequence[int]) -> tuple[int, ...]:
         return exponent_vector(letters, self.alphabet.size)
 
@@ -468,10 +463,9 @@ def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dic
 
 
 class _Component:
-    __slots__ = ("start", "cap", "complete", "parents", "min_word", "states", "applications", "cyclic")
+    __slots__ = ("cap", "complete", "parents", "min_word", "states", "applications", "cyclic")
 
     def __init__(self, start, cap, cyclic):
-        self.start = start
         self.cap = cap
         self.cyclic = cyclic
         self.parents: dict[tuple[int, ...], Optional[tuple]] = {start: None}
@@ -497,15 +491,14 @@ class _Component:
 class RankOracle:
     """Word/conjugacy/norm decisions over one relator system.
 
-    Complete rewriting components are memoized per (word, cap) key, so
-    repeated queries against the same presentation snapshot are cheap.
-    Writes to the memo are idempotent: a component is a pure function of
-    (start, cap, move budget)."""
+    Complete rewriting components are memoized in one dict keyed
+    (start, cap, cyclic), so repeated queries against the same presentation
+    snapshot are cheap.  Writes to the memo are idempotent: a complete
+    component is a pure function of (start, cap, cyclic)."""
 
     def __init__(self, system: RelatorSystem):
         self.system = system
-        self._lin: tuple[dict, dict] = ({}, {})
-        self._cyc: tuple[dict, dict] = ({}, {})
+        self._components: dict[tuple, _Component] = {}
         # (room, left, right) -> records of the contexts T with T[0] != right,
         # T[-1] != left and |T| <= room, as `_linear_successors` inserts them
         self._linear_inserts: dict[tuple, tuple[tuple, ...]] = {}
@@ -630,41 +623,21 @@ class RankOracle:
                  stop_on_ab: bool = False) -> _Component:
         """Forward rewriting component of `start` within length cap.
 
-        A complete component is a pure function of (start, cap): the search
-        expands states in shortlex order, so any budget large enough to finish
-        produces the identical component.  Complete components are therefore
-        reusable across queries; early-stopped ones only under their exact
-        query key.  (Early termination at a target returns a prefix of the
-        same deterministic run, so verdicts and witnesses never depend on
-        memo warmth, only the diagnostic state counts do.)
+        A complete component is a pure function of (start, cap, cyclic): the
+        search expands states in shortlex order, so any budget large enough to
+        finish produces the identical component.  Complete components are
+        therefore memoized under that key and reused by every query whose move
+        budget covers them; a search stopped early, by its budget or at its
+        target, is not kept.  (Early termination at a target returns a prefix
+        of the same deterministic run, so verdicts and witnesses never depend
+        on memo warmth, only the diagnostic state counts do.)
         """
-        complete_memo, partial_memo = (self._cyc if cyclic else self._lin)
-        hit = complete_memo.get((start, cap))
+        memo_key = (start, cap, cyclic)
+        hit = self._components.get(memo_key)
         if hit is not None and hit.applications <= budget.max_relator_applications:
-            return hit
-        pkey = (start, cap, budget.max_relator_applications, target, stop_on_ab)
-        hit = partial_memo.get(pkey)
-        if hit is not None:
             return hit
 
         comp = _Component(start, cap, cyclic)
-        if self.system.empty:
-            complete_memo[(start, cap)] = comp
-            return comp
-
-        # margin shortcut: every relator application lengthens an {a,b} word
-        # past the cap, so the component is provably the singleton.
-        margin = self.system.ab_margin
-        if (
-            not cyclic
-            and margin is not None
-            and margin > 0
-            and cap - len(start) < margin
-            and all(is_ab_letter(x) for x in start)
-        ):
-            complete_memo[(start, cap)] = comp
-            return comp
-
         successors = self._cyclic_successors if cyclic else self._linear_successors
         max_applications = budget.max_relator_applications
         min_key = shortlex_key(start)
@@ -688,9 +661,7 @@ class RankOracle:
                     comp.complete = False
                     break
         if comp.complete:
-            complete_memo[(start, cap)] = comp
-        else:
-            partial_memo[pkey] = comp
+            self._components[memo_key] = comp
         return comp
 
     # trace assembly --------------------------------------------------------
@@ -738,7 +709,8 @@ class RankOracle:
     def _linear_cap(self, w: tuple[int, ...], budget: OracleBudget) -> int:
         """Length cap of a linear search from w: the ball radius above |w|,
         lowered below the ab margin for a nonempty word over {a, b}, whose
-        component `_closure` then knows from the margin alone."""
+        component is then the word alone: every move lengthens it past the
+        cap."""
         slack = budget.max_ball_radius
         margin = self.system.ab_margin
         if margin is not None and margin > 0 and w and all(is_ab_letter(x) for x in w):
@@ -834,18 +806,21 @@ class RankOracle:
         whether the component was exhausted."""
         budget = self._budget(budget)
         w = _letters(u)
-        if self.system.empty:
-            return w, True
         comp = self._closure(w, self._linear_cap(w, budget), budget, cyclic=False)
         return comp.min_word, comp.complete
 
-    def cyclic_canonical(self, u: Sequence[int] | Word,
-                         budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
+    def cyclic_component(self, u: Sequence[int] | Word,
+                         budget: Optional[OracleBudget] = None) -> _Component:
+        """Cyclic rewriting component of cyclic_rep(u) within the length cap
+        |cyclic_rep(u)| + max_ball_radius; read its `parents` (the members),
+        `complete` and `cap`."""
         budget = self._budget(budget)
         cu = cyclic_rep(_letters(u))
-        if self.system.empty:
-            return cu, True
-        comp = self._closure(cu, len(cu) + budget.max_ball_radius, budget, cyclic=True)
+        return self._closure(cu, len(cu) + budget.max_ball_radius, budget, cyclic=True)
+
+    def cyclic_canonical(self, u: Sequence[int] | Word,
+                         budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
+        comp = self.cyclic_component(u, budget)
         return comp.min_word, comp.complete
 
     def conjugate(self, u: Sequence[int] | Word, v: Sequence[int] | Word,
@@ -854,7 +829,7 @@ class RankOracle:
         tu, tv = _letters(u), _letters(v)
         cu, cv = cyclic_rep(tu), cyclic_rep(tv)
         diff = [x - y for x, y in zip(self.system.expvec(tu), self.system.expvec(tv))]
-        bound = budget.conjugator_bound(len(tu), len(tv), self.system.alpha_bar)
+        bound = self.system.conjugator_bound(len(tu), len(tv))
         return self._decide("conjugate", tu, cu, max(len(cu), len(cv)), cv, self.system.lattice,
                             diff, budget, cyclic=True, extras={"conjugator-bound": bound})
 
@@ -903,9 +878,8 @@ def find_conjugator(oracle: RankOracle, u: Sequence[int] | Word, v: Sequence[int
                     budget: Optional[OracleBudget] = None) -> Optional[Word]:
     """Literal conjugator search: smallest Z (shortlex, |Z| <= bound) with
     Z u Z^-1 = v certified.  Exponential in the bound; used for cross-checks."""
-    budget = oracle._budget(budget)
     tu, tv = _letters(u), _letters(v)
-    bound = budget.conjugator_bound(len(tu), len(tv), oracle.system.alpha_bar)
+    bound = oracle.system.conjugator_bound(len(tu), len(tv))
     from .words import reduced_words_up_to
 
     for z in reduced_words_up_to(oracle.system.alphabet, bound):

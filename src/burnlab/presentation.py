@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InputError, StateError
-from .oracle import DEFAULT_BUDGET, OracleBudget, RankOracle, Relator, RelatorSystem
+from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem
 from .words import (
     Alphabet,
     Word,
@@ -358,7 +358,6 @@ class GradedPresentation:
         the sense in which an approximate build is approximate.
         """
         oracle = self.oracle(rank)
-        budget = budget or DEFAULT_BUDGET
         w = cyclic_rep(word.letters)
         if not w:
             return SimplicityVerdict("not-simple", "shorter-or-power", "freely trivial")
@@ -369,23 +368,18 @@ class GradedPresentation:
             return SimplicityVerdict("not-simple", "in-ab",
                                      "cyclic core lies in the {a,b} subgroup")
 
-        system = self.relator_system(rank)
-        if rank == 0 or system.empty:
-            return SimplicityVerdict("simple")
-
         in_ab = oracle.conjugate_into_ab(Word(w), budget)
         if in_ab.is_yes:
             return SimplicityVerdict("not-simple", "in-ab",
                                      "conjugate to %s" % in_ab.witness["target"])
         s3_open = in_ab.is_unknown
 
-        cap = len(w) + budget.max_ball_radius
-        comp = oracle._closure(w, cap, budget, cyclic=True)
+        comp = oracle.cyclic_component(w, budget)
 
         # explicit period powers first: crisper reasons than the generic scan
         for j in range(1, rank + 1):
             for t, target in self._period_power_reps(j):
-                if len(target) <= cap and target in comp.parents:
+                if target in comp.parents:
                     return SimplicityVerdict(
                         "not-simple", "period-power",
                         "conjugate to x%d power %d (%s)" % (j, t, Word(target).format()),
@@ -406,7 +400,7 @@ class GradedPresentation:
 
         if s3_open or not comp.complete:
             return SimplicityVerdict("unknown", "budget",
-                                     "cyclic component not exhausted at cap %d" % cap)
+                                     "cyclic component not exhausted at cap %d" % comp.cap)
         return SimplicityVerdict("simple")
 
     # building --------------------------------------------------------------
@@ -418,7 +412,6 @@ class GradedPresentation:
         rank = self.max_rank
         n = rank + 1
         oracle = self.oracle(rank)
-        budget = budget or DEFAULT_BUDGET
         candidates = canonical_cyclic_candidates(self.alphabet, n)
         verdicts = [self.is_simple(Word(t), rank, budget) for t in candidates]
 
@@ -426,7 +419,6 @@ class GradedPresentation:
         admitted_reps: list[tuple[tuple[int, ...], ...]] = []  # of each period and its inverse
         records: list[CandidateRecord] = []
         approximate = False
-        cap = n + budget.max_ball_radius
         for t, verdict in zip(candidates, verdicts):
             name = Word(t).format()
             if verdict.status == "not-simple":
@@ -436,7 +428,7 @@ class GradedPresentation:
                 records.append(CandidateRecord(name, "unknown", verdict.reason))
                 approximate = True
                 continue
-            comp = oracle._closure(t, cap, budget, cyclic=True)
+            comp = oracle.cyclic_component(t, budget)
             if any(rep in comp.parents for reps in admitted_reps for rep in reps):
                 records.append(CandidateRecord(name, "rejected", "conjugate-duplicate"))
                 continue

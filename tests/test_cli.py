@@ -372,8 +372,8 @@ class TestConfig:
         ({"budget": {"max_relator_applications": "x"}},
          "budget.max_relator_applications must be an integer"),
         ({"budget": {"time_cap": 1}}, "unknown budget field 'time_cap'"),
-        ({"budget": {"max_conjugator_length": True}},
-         "budget.max_conjugator_length must be an integer"),
+        ({"budget": {"max_conjugator_length": 3}},
+         "unknown budget field 'max_conjugator_length'"),
         ({"budget": {"max_ball_radius": 2.5}}, "budget.max_ball_radius must be an integer"),
         ({"m": True}, "field m must be an integer"),
         ({"seed": "7"}, "field seed must be an integer"),
@@ -393,7 +393,6 @@ class TestConfig:
     def test_null_fields_keep_their_defaults(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": None, "budget": {
-            "max_conjugator_length": None,
             "max_relator_applications": None, "max_ball_radius": 3.0}}))
         args = cli.build_parser().parse_args(
             ["build", "--max-rank", "0", "--config", str(cfg)])
@@ -407,11 +406,12 @@ class TestConfig:
                      if g.title == "oracle budget")
         assert set(cli._BUDGET_FIELDS) == fields
         assert {a.dest for a in group._group_actions} == fields
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["build", "--max-rank", "1", "--time-cap", "1"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "unrecognized arguments: --time-cap 1" in err and "Traceback" not in err
+        for flag in ("--time-cap", "--max-conjugator-length"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["build", "--max-rank", "1", flag, "1"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: %s 1" % flag in err and "Traceback" not in err
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"

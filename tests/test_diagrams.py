@@ -81,6 +81,8 @@ class TestFrozenVerdicts:
             check_condition_A(bad, pres[key])
         with pytest.raises(StateError, match="failed validation"):
             find_gamma_cells(bad, bad.contours, pres[key])
+        with pytest.raises(StateError, match="failed validation"):
+            check_reduced(bad, pres[key])
 
     def test_euler_count_on_valid_diagrams(self, corpus, pres):
         for name, (key, diagram) in corpus.items():

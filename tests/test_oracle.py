@@ -410,24 +410,77 @@ class TestBudgets:
         assert over_cap == 152
 
 
+class TestMemo:
+    """Complete components are memoized and reused; nothing else is, and no
+    verdict depends on what the memo holds."""
+
+    def test_complete_components_are_reused(self, p_k3_m1_r2):
+        oracle = RankOracle(p_k3_m1_r2.relator_system(2))
+        for word, cap, cyclic in (("a.s1.b.s1", 6, True), ("a.s1.b", 5, False)):
+            start = Word.parse(word).letters
+            first = oracle._closure(start, cap, OracleBudget(), cyclic)
+            assert first.complete
+            assert oracle._closure(start, cap, OracleBudget(), cyclic) is first
+
+    def test_early_stopped_components_are_not_reused(self, p_k3_m1_r1):
+        oracle = RankOracle(p_k3_m1_r1.relator_system(1))
+        start = Word.parse("a.s1.s1.s1.A.b").letters
+        first, again = (oracle._closure(start, 10, OracleBudget(), cyclic=False, target=(2,))
+                        for _ in range(2))
+        assert not first.complete and (2,) in first.parents
+        assert again is not first
+        assert ((again.parents, again.states, again.applications, again.min_word)
+                == (first.parents, first.states, first.applications, first.min_word))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("budget", [
+        OracleBudget(max_ball_radius=2, max_relator_applications=60), OracleBudget()],
+        ids=["tiny", "default"])  # the budgets of the verdict corpus
+    def test_verdicts_do_not_depend_on_memo_warmth(self, p_k3_m1_r2, rank, budget):
+        system = p_k3_m1_r2.relator_system(rank)
+        words = list(reduced_words_up_to(A1, 3))
+        short = [v for v in words if len(v) <= 1]
+
+        def claims(oracle, u):
+            verdicts = [oracle.equal(u, (), budget), oracle.conjugate_into_ab(u, budget)]
+            verdicts += [oracle.conjugate(u, v, budget) for v in short]
+            return [(v.status, v.witness, v.certificate) for v in verdicts]
+
+        warm = RankOracle(system)
+        for u in words:
+            warm.canonical(u, budget)
+            warm.cyclic_canonical(u, budget)
+            warm.norm(u, budget)
+        for u in words:
+            cold = claims(RankOracle(system), u)
+            assert claims(warm, u) == cold, u
+            assert claims(warm, u) == cold, u
+
+
 class TestSuccessorGenerators:
     """The generators build only in-cap, non-repeated moves; the closure must
     still match the reference that builds every move."""
 
     @pytest.fixture(scope="class")
     def systems(self, p_k3_m1_r1, p_k3_m1_r2):
-        # the last two relators have subwords that are not cyclically reduced
+        # the two ad-hoc relators have subwords that are not cyclically reduced
         # (a.b.A), so a core whose inserted piece trims away keeps shrinking;
-        # in the cube such a subword is long enough to start over the cap
+        # in the cube such a subword is long enough to start over the cap.
+        # The last system has no relators: every component is its start.
         return [p_k3_m1_r1.relator_system(1), p_k3_m1_r2.relator_system(2),
                 RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 2)]),
-                RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 3)])]
+                RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 3)]),
+                RelatorSystem(A1, [])]
 
-    @given(seq=raw_m1, which=st.integers(0, 3), cyclic=st.booleans(),
+    @given(seq=raw_m1, which=st.integers(0, 4), cyclic=st.booleans(),
            slack=st.integers(0, 5), stop=st.booleans(),
            max_applications=st.sampled_from([1, 7, 100, 2500, 50_000]))
     # a whole relator inside the word: deleting it leaves a.A to cancel
     @example(seq=[1, 3, 3, 3, -1], which=0, cyclic=False, slack=0, stop=False,
+             max_applications=50_000)
+    # an {a,b} word whose slack is below the rank-1 ab margin 3: the search
+    # must find no move in the cap, as the reference's margin shortcut says
+    @example(seq=[1, 2, -1, -2], which=0, cyclic=False, slack=2, stop=False,
              max_applications=50_000)
     @settings(max_examples=150, deadline=None)
     def test_closure_matches_reference(self, systems, seq, which, cyclic, slack,
