@@ -658,7 +658,7 @@ def find_gamma_cells(diagram: Diagram, sections: Sequence[Sequence[str]],
 
 @dataclass(frozen=True)
 class CertificateResult:
-    status: str  # found | certified-none | unknown | cell-cap
+    status: str  # found | certified-none | none-within-cap | unknown | cell-cap
     diagram: Optional[Diagram]
     cells: int
     verdict: Verdict
@@ -823,14 +823,18 @@ def search_vk_certificate(presentation, w: Word, rank: int,
                           max_cells: int = 64,
                           budget: Optional[OracleBudget] = None) -> CertificateResult:
     """Equality certificate for w = 1 at the given rank as an explicit
-    diagram.  Oracle no gives certified-none; unknown stays unknown; a yes
-    whose trace needs more than max_cells cells reports cell-cap."""
+    diagram.  An oracle no proved by a rank-0 or abelian-residue certificate
+    gives certified-none; one that only exhausted the search's length cap
+    gives none-within-cap.  Unknown stays unknown; a yes whose trace needs
+    more than max_cells cells reports cell-cap."""
     if max_cells < 0:
         raise InputError("max_cells must be >= 0")
     oracle = presentation.oracle(rank)
     verdict = oracle.equal(w, Word(()), budget)
     if verdict.is_no:
-        return CertificateResult("certified-none", None, 0, verdict)
+        bounded = verdict.certificate["kind"] == "exhaustion"
+        return CertificateResult("none-within-cap" if bounded else "certified-none",
+                                 None, 0, verdict)
     if verdict.is_unknown:
         return CertificateResult("unknown", None, 0, verdict)
     steps = verdict.witness.get("steps", ())
@@ -843,7 +847,7 @@ def search_vk_certificate(presentation, w: Word, rank: int,
 
 @dataclass(frozen=True)
 class ReducednessReport:
-    status: str  # not-reduced | reduced-up-to-cap
+    status: str  # not-reduced | reduced-up-to-cap | unknown
     cap: int
     cells: int
     smaller: Optional[CertificateResult]
@@ -853,7 +857,8 @@ def check_reduced(diagram: Diagram, presentation, rank: Optional[int] = None,
                   budget: Optional[OracleBudget] = None) -> ReducednessReport:
     """Semi-decidable minimal-cell check: hunt for a diagram with the same
     contour label and fewer cells.  Success certifies not-reduced; failure
-    only certifies minimality among certificates up to the cap."""
+    only certifies minimality among certificates up to the cap, and a search
+    that ran out of budget certifies nothing (unknown)."""
     if diagram.topology != "circular":
         raise InputError("reducedness check handles circular diagrams only")
     validation = _validated(diagram, presentation)
@@ -865,6 +870,6 @@ def check_reduced(diagram: Diagram, presentation, rank: Optional[int] = None,
         return ReducednessReport("reduced-up-to-cap", 0, 0, None)
     res = search_vk_certificate(presentation, w, rank, max_cells=ncells - 1,
                                 budget=budget)
-    if res.status == "found":
-        return ReducednessReport("not-reduced", ncells - 1, ncells, res)
-    return ReducednessReport("reduced-up-to-cap", ncells - 1, ncells, res)
+    status = {"found": "not-reduced", "unknown": "unknown"}.get(
+        res.status, "reduced-up-to-cap")
+    return ReducednessReport(status, ncells - 1, ncells, res)

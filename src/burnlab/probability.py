@@ -8,8 +8,10 @@ certified fraction, never as a bare point value.
 
 Sampling is seed-deterministic: all random draws for a run come from one
 `random.Random(seed)` stream, and every sample is drawn before any is
-queried.  Samples are tallied by word, and each distinct word is queried
-once, in first-seen order, its verdict weighted by its count.
+queried.  Samples are tallied by word and the distinct words grouped by
+cyclic core: w = 1 exactly when its core is 1, so each core is queried once,
+in first-seen order, its verdict weighted by its group's count.  A core that
+comes back unknown falls back to one query per raw word of its group.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem, Verdict
 from .words import (
     Word,
+    cyclic_rep,
     cyclic_split_reduced,
     inverse_letters,
     power_letters,
@@ -39,6 +42,9 @@ _Z95 = 1.959963984540054
 
 # a parsed law (and every exponent in it) stays within this many letters
 MAX_LAW_LETTERS = 10_000
+# ... and nests at most this many parentheses or brackets deep: the parser
+# recurses once per level
+MAX_LAW_NESTING = 100
 
 
 class GroupLaw:
@@ -122,6 +128,8 @@ def _tokenize_law(text: str):
                 j += 1
             if j == i + 1:
                 raise InputError("variable needs an index: %r" % text[i:])
+            if j - i - 1 > len(str(MAX_LAW_LETTERS)):
+                raise InputError("law variables must be x1..x%d" % GroupLaw.MAX_VARS)
             toks.append(("var", int(text[i + 1:j]), -1 if c == "X" else 1))
             i = j
         elif c == "^":
@@ -143,20 +151,22 @@ def _tokenize_law(text: str):
     return toks
 
 
-def _parse_product(toks, pos, stop):
+def _parse_product(toks, pos, stop, depth=0):
+    if depth > MAX_LAW_NESTING:
+        raise InputError("law nests deeper than %d" % MAX_LAW_NESTING)
     letters: tuple[int, ...] = ()
     while pos < len(toks) and toks[pos] not in stop:
         t = toks[pos]
         if t == "(":
-            inner, pos = _parse_product(toks, pos + 1, stop=(")",))
+            inner, pos = _parse_product(toks, pos + 1, (")",), depth + 1)
             if pos >= len(toks) or toks[pos] != ")":
                 raise InputError("unclosed ( in law")
             pos += 1
         elif t == "[":
-            u, pos = _parse_product(toks, pos + 1, stop=(",",))
+            u, pos = _parse_product(toks, pos + 1, (",",), depth + 1)
             if pos >= len(toks) or toks[pos] != ",":
                 raise InputError("commutator needs two arguments")
-            v, pos = _parse_product(toks, pos + 1, stop=("]",))
+            v, pos = _parse_product(toks, pos + 1, ("]",), depth + 1)
             if pos >= len(toks) or toks[pos] != "]":
                 raise InputError("unclosed [ in law")
             pos += 1
@@ -307,12 +317,26 @@ def _estimate(law_text, mode, n, holds, fails, unknown, exact=False) -> LawEstim
 def _tally(oracle: RankOracle, words: Iterable[Word],
            budget: Optional[OracleBudget]) -> tuple[int, int, int]:
     """(holds, fails, unknown) of `w = 1` over `words`, repeats counted.
-    Each distinct word is queried once, in first-seen order: verdicts do
-    not depend on memo warmth, so a repeat would give the same verdict."""
-    tally = [0, 0, 0]
+
+    w = 1 exactly when its cyclic core is 1 (x^k = u c^k u^-1 is a free
+    conjugate of c^k), so the distinct words are grouped by `cyclic_rep`
+    and each core is queried once, in first-seen order; verdicts do not
+    depend on memo warmth, so a repeat would give the same verdict.  The
+    search's component depends on the rotation it starts from, so a core
+    that comes back `unknown` falls back to querying each member that
+    differs from it: no answer the raw word decides is lost."""
+    groups: dict[tuple[int, ...], list[tuple[Word, int]]] = {}
     for w, count in Counter(words).items():
-        v = oracle.equal(w, (), budget)
-        tally[0 if v.is_yes else 1 if v.is_no else 2] += count
+        groups.setdefault(cyclic_rep(w.letters), []).append((w, count))
+    tally = [0, 0, 0]
+    for core, members in groups.items():
+        v = oracle.equal(core, (), budget)
+        for w, count in members:
+            if v.is_unknown and w.letters != core:
+                u = oracle.equal(w, (), budget)
+            else:
+                u = v
+            tally[0 if u.is_yes else 1 if u.is_no else 2] += count
     return tally[0], tally[1], tally[2]
 
 

@@ -169,6 +169,16 @@ class TestLawprob:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "law exponent exceeds 10000" in err
 
+    def test_deeply_nested_law_exits_2(self, workspace, tmp_path, capsys):
+        # 1,000 levels once overflowed the parser's recursion with exit 1
+        rc = cli.main(["lawprob", "--law", "(" * 1000 + "x1^3" + ")" * 1000,
+                       "--mode", "exhaustive", "--rank", "1", "--radius", "1",
+                       "--presentation", presentation_path(workspace, 1),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "law nests deeper than 100" in err
+
 
 class TestRwalk:
     def test_runs_and_is_deterministic(self, workspace, tmp_path):

@@ -168,6 +168,13 @@ class TestCertificates:
         stuck = search_vk_certificate(p3, Word.parse("a.s1.A.s1.s1"), 1, budget=TINY)
         assert stuck.status == "unknown" and stuck.diagram is None
 
+    def test_exhaustion_no_is_only_none_within_cap(self, pres):
+        # zero residue, so only the bounded search answers: not a proof
+        res = search_vk_certificate(pres["k3m1r1"], Word.parse("s1.a.S1.A"), 1)
+        assert res.verdict.is_no
+        assert res.verdict.certificate["kind"] == "exhaustion"
+        assert res.status == "none-within-cap" and res.diagram is None
+
     def test_cell_cap(self, pres):
         res = search_vk_certificate(pres["k3m1r1"], Word.parse("s1s1s1"), 1,
                                     max_cells=0)
@@ -244,6 +251,16 @@ class TestReducedness:
         rep = check_reduced(square, pres[key])
         assert rep.status == "reduced-up-to-cap"
         assert rep.cells == 0 and rep.smaller is None
+
+    def test_budget_out_search_is_unknown(self, pres):
+        p3 = pres["k3m1r1"]
+        w = Word.parse("s1.s1.s1.s1.s1.s1")
+        two_cells = diagram_from_trace(p3, w, p3.oracle(1).equal(w, Word(())).witness)
+        assert len(two_cells.cells()) == 2
+        assert check_reduced(two_cells, p3).status == "reduced-up-to-cap"
+        rep = check_reduced(two_cells, p3, budget=TINY)
+        assert rep.status == "unknown" and (rep.cap, rep.cells) == (1, 2)
+        assert rep.smaller.status == "unknown"
 
     def test_annular_refused(self, corpus, pres):
         key, ring = corpus["c07-annular-conj"]

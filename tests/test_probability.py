@@ -20,9 +20,11 @@ from burnlab.oracle import (
     verify_into_ab_witness,
 )
 from burnlab.probability import (
+    MAX_LAW_NESTING,
     GroupLaw,
     StepDistribution,
     _estimate,
+    _tally,
     law_probability,
     law_probability_sweep,
     quotient_return_probability,
@@ -31,7 +33,14 @@ from burnlab.probability import (
     sample_uniform_ball,
     torsion_dichotomy_test,
 )
-from burnlab.words import Alphabet, Word, reduced_words_up_to, splice_reduce
+from burnlab.words import (
+    Alphabet,
+    Word,
+    inverse_letters,
+    power_letters,
+    reduced_words_up_to,
+    splice_reduce,
+)
 
 TINY = OracleBudget(max_ball_radius=0, max_relator_applications=1)
 ALL_STEPS = StepDistribution.lazy_uniform(
@@ -206,6 +215,36 @@ class TestGroupLaw:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             GroupLaw.power(2).letters = ()
+
+    def test_nesting_capped(self):
+        deep = "(" * MAX_LAW_NESTING + "x1" + ")" * MAX_LAW_NESTING
+        assert GroupLaw.parse(deep).letters == (1,)
+        for depth in (MAX_LAW_NESTING + 1, 1000, 5000):
+            with pytest.raises(InputError, match="nests deeper than %d" % MAX_LAW_NESTING):
+                GroupLaw.parse("(" * depth + "x1" + ")" * depth)
+        with pytest.raises(InputError, match="nests deeper"):
+            GroupLaw.parse("[x1," * 1000 + "x2" + "]" * 1000)
+
+    def test_huge_variable_index_rejected(self):
+        # int() refuses more than 4,300 digits with a ValueError
+        with pytest.raises(InputError, match="x1..x2"):
+            GroupLaw.parse("x" + "1" * 5000)
+
+    @given(st.one_of(
+        st.text(alphabet="xX0123456789^+-()[], *", max_size=80),
+        st.lists(st.sampled_from(["x1", "X1", "x2", "X2", "x3", "(", ")", "[",
+                                  "]", ",", "^2", "^-3", "^0", "^", " ", "*"]),
+                 max_size=40).map("".join)))
+    @example("(" * 5000 + "x1" + ")" * 5000)
+    @example("[" * 5000 + "x1")
+    @settings(max_examples=400, deadline=None)
+    def test_fuzzed_text_parses_or_is_refused(self, text):
+        try:
+            law = GroupLaw.parse(text)
+        except InputError:
+            return
+        assert law.letters and all(1 <= abs(l) <= GroupLaw.MAX_VARS
+                                   for l in law.letters)
 
 
 class TestStepDistribution:
@@ -487,3 +526,75 @@ class TestTallyMatchesReference:
         nu = StepDistribution.lazy_uniform([Word((3,)), Word((-3,))])
         assert quotient_return_probability(p_k3_m1_r2, rank, steps, trials, seed) == \
             reference_quotient_return(p_k3_m1_r2, rank, steps, trials, seed, nu)
+
+
+# leaves unknowns at rank 2, some of them only from the core's rotation
+SMALL = OracleBudget(max_relator_applications=100)
+
+
+@st.composite
+def conjugate_multisets(draw):
+    """1-12 words u c^t u^-1 over at most three cores c, repeats allowed, so
+    that distinct words share cores."""
+    cores = draw(st.lists(st.sampled_from(STEP_WORDS), min_size=1, max_size=3))
+    words = []
+    for _ in range(draw(st.integers(1, 12))):
+        c, u = draw(st.sampled_from(cores)), draw(st.sampled_from(STEP_WORDS))
+        words.append(Word._raw(splice_reduce(
+            u, power_letters(c, draw(st.integers(1, 3))), inverse_letters(u))))
+    return words
+
+
+class CountingOracle:
+    """Forwards `equal` to an oracle and records the first argument."""
+
+    def __init__(self, oracle):
+        self.oracle, self.calls = oracle, []
+
+    def equal(self, u, v, budget=None):
+        self.calls.append(Word(u).format())
+        return self.oracle.equal(u, v, budget)
+
+
+class TestTallyByCore:
+    """_tally asks w = 1 of each cyclic core once and falls back to the raw
+    word only when the core is unknown; against one query per raw word it
+    never loses a decided answer."""
+
+    @given(words=conjugate_multisets(), budget=st.sampled_from([None, SMALL]))
+    @example(words=[Word.parse(t) for t in ("B.S1.A.b.a.s1", "a.s1.B.S1.A.b")],
+             budget=SMALL)
+    @example(words=[Word.parse(t) for t in ("S1.S1.A.s1.a.s1", "s1.s1.s1")],
+             budget=OracleBudget(max_relator_applications=1000))
+    @settings(max_examples=150, deadline=None)
+    def test_decided_answers_kept_and_unknowns_shrink(self, p_k3_m1_r2, words,
+                                                      budget):
+        oracle = p_k3_m1_r2.oracle(2)
+        holds, fails, unknown = _tally(oracle, words, budget)
+        ref_holds, ref_fails, ref_unknown = reference_tally(oracle, words, budget)
+        assert holds + fails + unknown == len(words)
+        assert holds >= ref_holds and fails >= ref_fails and unknown <= ref_unknown
+        for w in set(words):
+            v = oracle.equal(w, Word(()), budget)
+            if not v.is_unknown:
+                assert _tally(oracle, [w], budget) == \
+                    ((1, 0, 0) if v.is_yes else (0, 1, 0))
+
+    def test_one_query_per_decided_core(self, p_k3_m1_r2):
+        counting = CountingOracle(p_k3_m1_r2.oracle(2))
+        words = [Word.parse(t) for t in (
+            "b.s1.s1.s1.B", "s1.s1.s1", "A.s1.s1.s1.a", "b.s1.s1.s1.B",
+            "s1.a.S1", "a")]
+        assert _tally(counting, words, None) == (4, 2, 0)
+        assert counting.calls == ["s1.s1.s1", "a"]
+
+    def test_unknown_core_falls_back_to_each_other_member(self, p_k3_m1_r2):
+        counting = CountingOracle(p_k3_m1_r2.oracle(2))
+        core = Word.parse("a.s1.B.S1.A.b")
+        words = [Word.parse(t) for t in (
+            "B.S1.A.b.a.s1", "a.s1.B.S1.A.b", "S1.A.b.a.s1.B", "B.S1.A.b.a.s1",
+            "a.s1.B.S1.A.b")]
+        assert counting.oracle.equal(core, Word(()), SMALL).is_unknown
+        # the two raw rotations are exhausted within the budget; the core is not
+        assert _tally(counting, words, SMALL) == (0, 3, 2)
+        assert counting.calls == ["a.s1.B.S1.A.b", "B.S1.A.b.a.s1", "S1.A.b.a.s1.B"]
