@@ -31,7 +31,7 @@ from .words import (
     Alphabet,
     cyclic_reduce_letters,
     free_ball_size,
-    is_ab_letter,
+    is_ab_word,
     letter_key,
     reduced_words_up_to,
     shortlex_key,
@@ -137,55 +137,6 @@ def growth(presentation, rank: int, n_max: int,
     return GrowthTable(series="gamma_%s" % subgroup, rank=rank, rows=rows)
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
-    nth_roots: tuple[tuple[int, float], ...]
-    sphere_ratios: tuple[tuple[int, float], ...]
-    root_last: float
-    ratio_last: Optional[float]
-    radii_used: tuple[int, ...]
-    note: str
-
-    def summary(self) -> str:
-        ratio = "n/a" if self.ratio_last is None else "%.6g" % self.ratio_last
-        return ("growth exponent diagnostics: count^(1/r) tail %.6g, "
-                "sphere ratio tail %s (radii %s); %s"
-                % (self.root_last, ratio, list(self.radii_used), self.note))
-
-
-def growth_exponent_estimate(table: GrowthTable) -> GrowthEstimate:
-    """Two finite-radius estimators, reported together: the r-th root of the
-    ball count and the last sphere-increment ratio.  Needs at least three
-    exact radii beyond 0; flagged rows are excluded."""
-    exact = [(r, c) for r, c, f in table.rows if f == FLAG_EXACT]
-    usable = [(r, c) for r, c in exact if r >= 1]
-    if len(usable) < 3:
-        raise InputError("need at least 3 exact radii >= 1, have %d" % len(usable))
-    roots = tuple((r, c ** (1.0 / r)) for r, c in usable)
-    by_radius = dict(exact)
-    ratios = []
-    for r, c in usable:
-        prev = by_radius.get(r - 1)
-        if prev is None:
-            continue
-        s_now, s_prev = c - prev, None
-        prev2 = by_radius.get(r - 2)
-        if prev2 is not None:
-            s_prev = prev - prev2
-        if s_prev and s_prev > 0:
-            ratios.append((r, s_now / s_prev))
-    note = ("ball stabilized; exponent tends to 1" if ratios and ratios[-1][1] == 0.0
-            else "both estimators finite-radius proxies, not the true exponent")
-    return GrowthEstimate(
-        nth_roots=roots,
-        sphere_ratios=tuple(ratios),
-        root_last=roots[-1][1],
-        ratio_last=ratios[-1][1] if ratios else None,
-        radii_used=tuple(r for r, _ in usable),
-        note=note,
-    )
-
-
 # density of the conjugates of H
 
 
@@ -239,7 +190,7 @@ def rank0_hg_elements(alphabet: Alphabet, n: int) -> set[tuple[int, ...]]:
     out = set()
     for t in reduced_words_up_to(alphabet, n):
         core, _ = cyclic_reduce_letters(t)
-        if all(is_ab_letter(x) for x in core):
+        if is_ab_word(core):
             out.add(t)
     return out
 

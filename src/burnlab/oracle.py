@@ -47,7 +47,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BurnlabError, InputError
 from .words import (
@@ -59,6 +59,7 @@ from .words import (
     format_letters,
     inverse_letters,
     is_ab_letter,
+    is_ab_word,
     is_cyclically_reduced,
     min_rotation,
     parse_letters,
@@ -226,7 +227,7 @@ class IntegerLattice:
 def _cyclic_ab_run(word: tuple[int, ...]) -> int:
     """Longest run of consecutive {a,b} letters in the cyclic word."""
     n = len(word)
-    if all(is_ab_letter(x) for x in word):
+    if is_ab_word(word):
         return n
     best = run = 0
     for x in word + word:  # doubling covers the wrap
@@ -456,7 +457,7 @@ def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dic
         end = replay_trace(system, start, witness["steps"])
     except ReplayError:
         return False
-    return all(is_ab_letter(x) for x in end) and end == parse_letters(witness["target"])
+    return is_ab_word(end) and end == parse_letters(witness["target"])
 
 
 # closure engine
@@ -619,18 +620,19 @@ class RankOracle:
     # closure ---------------------------------------------------------------
 
     def _closure(self, start: tuple[int, ...], cap: int, budget: OracleBudget,
-                 cyclic: bool, target: Optional[tuple[int, ...]] = None,
-                 stop_on_ab: bool = False) -> _Component:
-        """Forward rewriting component of `start` within length cap.
+                 cyclic: bool, stop: Optional[Callable] = None) -> _Component:
+        """Forward rewriting component of `start` within length cap.  The one
+        stop rule: the search ends, incomplete, at the first word past `start`
+        it adds for which `stop(word)` is true.
 
         A complete component is a pure function of (start, cap, cyclic): the
         search expands states in shortlex order, so any budget large enough to
         finish produces the identical component.  Complete components are
         therefore memoized under that key and reused by every query whose move
-        budget covers them; a search stopped early, by its budget or at its
-        target, is not kept.  (Early termination at a target returns a prefix
-        of the same deterministic run, so verdicts and witnesses never depend
-        on memo warmth, only the diagnostic state counts do.)
+        budget covers them, whatever its stop rule; a search stopped early, by
+        its budget or its stop rule, is not kept.  (A stopped search is a
+        prefix of the same deterministic run, so verdicts and witnesses never
+        depend on memo warmth, only the diagnostic state counts do.)
         """
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
@@ -657,7 +659,7 @@ class RankOracle:
                 if key < min_key:
                     comp.min_word, min_key = succ, key
                 heapq.heappush(heap, (key, succ))
-                if succ == target or stop_on_ab and all(is_ab_letter(x) for x in succ):
+                if stop is not None and stop(succ):
                     comp.complete = False
                     break
         if comp.complete:
@@ -713,7 +715,7 @@ class RankOracle:
         cap."""
         slack = budget.max_ball_radius
         margin = self.system.ab_margin
-        if margin is not None and margin > 0 and w and all(is_ab_letter(x) for x in w):
+        if margin is not None and margin > 0 and w and is_ab_word(w):
             slack = min(slack, margin - 1)
         return len(w) + slack
 
@@ -754,8 +756,8 @@ class RankOracle:
                     budget_used=self._use(comp),
                 )
             cap = size + budget.max_ball_radius if cyclic else self._linear_cap(start, budget)
-            comp = self._closure(start, cap, budget, cyclic, target=target,
-                                 stop_on_ab=target is None)
+            stop = is_ab_word if target is None else target.__eq__
+            comp = self._closure(start, cap, budget, cyclic, stop)
             hit = _hit(comp, target)
         extras = extras or {}
         if hit is not None:
@@ -810,13 +812,15 @@ class RankOracle:
         return comp.min_word, comp.complete
 
     def cyclic_component(self, u: Sequence[int] | Word,
-                         budget: Optional[OracleBudget] = None) -> _Component:
+                         budget: Optional[OracleBudget] = None,
+                         stop: Optional[Callable] = None) -> _Component:
         """Cyclic rewriting component of cyclic_rep(u) within the length cap
         |cyclic_rep(u)| + max_ball_radius; read its `parents` (the members),
-        `complete` and `cap`."""
+        `complete` and `cap`.  A search ends at its first `stop` word, as in
+        `_closure`; a memoized complete component is returned whole."""
         budget = self._budget(budget)
         cu = cyclic_rep(_letters(u))
-        return self._closure(cu, len(cu) + budget.max_ball_radius, budget, cyclic=True)
+        return self._closure(cu, len(cu) + budget.max_ball_radius, budget, True, stop)
 
     def cyclic_canonical(self, u: Sequence[int] | Word,
                          budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
@@ -845,7 +849,7 @@ def _hit(comp: _Component, target: Optional[tuple[int, ...]]) -> Optional[tuple[
     """target if the component holds it; with target None, the least member
     written over {a, b}; else None."""
     if target is None:
-        return min((w for w in comp.parents if all(is_ab_letter(x) for x in w)),
+        return min((w for w in comp.parents if is_ab_word(w)),
                    key=shortlex_key, default=None)
     return target if target in comp.parents else None
 

@@ -31,7 +31,7 @@ from .words import (
     cyclic_rep,
     cyclically_reduced_words,
     inverse_letters,
-    is_ab_letter,
+    is_ab_word,
     min_rotation,
     shortlex_key,
 )
@@ -272,7 +272,7 @@ class GradedPresentation:
         self._approximate: list[bool] = []
         self._systems: dict[int, RelatorSystem] = {}
         self._oracles: dict[int, RankOracle] = {}
-        self._power_reps: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        self._power_reps: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
         for periods, approximate in ranks:
             self._append_rank(periods, approximate)
 
@@ -310,15 +310,15 @@ class GradedPresentation:
         self._periods.append(tuple(checked))
         self._approximate.append(bool(approximate))
 
-    def _period_power_reps(self, rank: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """(t, cyclic_rep(p^t)) for each period p of `rank` in order and
-        t = 1..k-1; computed once, as the periods of a built rank never
-        change."""
+    def _period_power_reps(self, rank: int) -> dict[tuple[int, ...], tuple[int, int]]:
+        """cyclic_rep(p^t) -> (j, t) for each period p of ranks j = 1..rank
+        in order and t = 1..k-1; computed once, as the periods of a built
+        rank never change."""
         hit = self._power_reps.get(rank)
         if hit is None:
-            hit = self._power_reps[rank] = tuple(
-                (t, cyclic_rep(p.letters * t))
-                for p in self.periods(rank) for t in range(1, self.params.k))
+            hit = self._power_reps[rank] = {
+                cyclic_rep(p.letters * t): (j, t) for j in range(1, rank + 1)
+                for p in self.periods(j) for t in range(1, self.params.k)}
         return hit
 
     def relators(self, rank: int) -> list[Relator]:
@@ -352,10 +352,12 @@ class GradedPresentation:
                   budget: Optional[OracleBudget] = None) -> SimplicityVerdict:
         """Tri-state simplicity of `word` relative to the rank-`rank` oracle.
 
-        The no-side certificates come from one exhaustive cyclic component of
-        the word within the budget's length cap; pairs that only meet beyond
-        that horizon would be unknown at this budget by construction, which is
-        the sense in which an approximate build is approximate.
+        The no-side certificates come from the cyclic component of the word
+        within the budget's length cap, searched until its first power of a
+        period of ranks 1..rank; a word that reaches none is simple only when
+        its whole component is exhausted.  Pairs that only meet beyond that
+        horizon would be unknown at this budget by construction, which is the
+        sense in which an approximate build is approximate.
         """
         oracle = self.oracle(rank)
         w = cyclic_rep(word.letters)
@@ -364,7 +366,7 @@ class GradedPresentation:
         if _free_period(w) != w:
             return SimplicityVerdict("not-simple", "free-power",
                                      "%s is a free power" % Word(w).format())
-        if all(is_ab_letter(x) for x in w):
+        if is_ab_word(w):
             return SimplicityVerdict("not-simple", "in-ab",
                                      "cyclic core lies in the {a,b} subgroup")
 
@@ -374,16 +376,14 @@ class GradedPresentation:
                                      "conjugate to %s" % in_ab.witness["target"])
         s3_open = in_ab.is_unknown
 
-        comp = oracle.cyclic_component(w, budget)
+        powers = self._period_power_reps(rank)
+        comp = oracle.cyclic_component(w, budget, stop=powers.__contains__)
 
         # explicit period powers first: crisper reasons than the generic scan
-        for j in range(1, rank + 1):
-            for t, target in self._period_power_reps(j):
-                if target in comp.parents:
-                    return SimplicityVerdict(
-                        "not-simple", "period-power",
-                        "conjugate to x%d power %d (%s)" % (j, t, Word(target).format()),
-                    )
+        for rep, (j, t) in powers.items():
+            if rep in comp.parents:
+                detail = "conjugate to x%d power %d (%s)" % (j, t, Word(rep).format())
+                return SimplicityVerdict("not-simple", "period-power", detail)
 
         for member in comp.parents:
             if len(member) < len(w):
@@ -428,13 +428,9 @@ class GradedPresentation:
                 records.append(CandidateRecord(name, "unknown", verdict.reason))
                 approximate = True
                 continue
-            comp = oracle.cyclic_component(t, budget)
+            comp = oracle.cyclic_component(t, budget)  # as is_simple memoized it
             if any(rep in comp.parents for reps in admitted_reps for rep in reps):
                 records.append(CandidateRecord(name, "rejected", "conjugate-duplicate"))
-                continue
-            if not comp.complete:
-                records.append(CandidateRecord(name, "unknown", "budget"))
-                approximate = True
                 continue
             admitted.append(Word(t))
             admitted_reps.append((cyclic_rep(t), cyclic_rep(inverse_letters(t))))

@@ -49,6 +49,14 @@ def is_ab_letter(letter: int) -> bool:
     return letter in (1, -1, 2, -2)
 
 
+_AB_LETTERS = frozenset((1, -1, 2, -2))
+
+
+def is_ab_word(letters: Iterable[int]) -> bool:
+    """Whether every letter is a, b or an inverse; the empty word is."""
+    return _AB_LETTERS.issuperset(letters)
+
+
 def reduce_letters(seq: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence by cancelling adjacent inverse pairs.
 
@@ -381,9 +389,6 @@ class CyclicWord:
 
     def word(self) -> Word:
         return Word._raw(self.rep)
-
-    def shifts(self) -> list[Word]:
-        return [Word._raw(t) for t in rotations(self.rep)]
 
     def __repr__(self) -> str:
         return "CyclicWord(%r)" % format_letters(self.rep)

@@ -18,7 +18,6 @@ from burnlab.cayley import (
     density_rows_to_json,
     enumerate_ball,
     growth,
-    growth_exponent_estimate,
     hg_union_elements,
     rank0_hg_count,
     rank0_hg_elements,
@@ -136,17 +135,6 @@ class TestGrowth:
         data = json.loads(table.to_json())
         assert data["series"] == "gamma_G" and data["rank"] == 0
         assert data["rows"][2] == {"radius": 2, "count": 37, "flag": "exact"}
-
-    def test_exponent_estimate_free(self, free_m1, budget):
-        est = growth_exponent_estimate(growth(free_m1, 0, 4, budget))
-        assert est.ratio_last == pytest.approx(5.0)
-        assert est.root_last == pytest.approx(937 ** 0.25)
-        assert est.radii_used == (1, 2, 3, 4)
-        assert "finite-radius" in est.summary()
-
-    def test_exponent_estimate_needs_three_radii(self, free_m1, budget):
-        with pytest.raises(InputError, match="3 exact radii"):
-            growth_exponent_estimate(growth(free_m1, 0, 2, budget))
 
 
 class TestDensityRank0:

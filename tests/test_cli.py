@@ -475,3 +475,16 @@ class TestBenchReferenceBytes:
         assert expected
         for path in expected:
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+class TestGoldenBuildBytes:
+    """`build --max-rank 4` at k=3, byte for byte, as recorded when every
+    candidate's simplicity check searched its whole cyclic component; 84 of
+    its rejections are `period-power`, the hit that search now stops at."""
+
+    def test_rank4_k3_bytes_match_recorded(self, tmp_path):
+        assert cli.main(["build", "--max-rank", "4", "--out-dir", str(tmp_path)]) == 0
+        expected = sorted((GOLDEN_DIR / "build-rank4-k3").iterdir())
+        assert [path.name for path in expected] == ["build-report.txt", "presentation.json"]
+        for path in expected:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

@@ -30,6 +30,7 @@ from burnlab.words import (
     cyclic_split_reduced,
     free_conjugate,
     is_ab_letter,
+    is_ab_word,
     min_rotation,
     reduced_words_up_to,
     shortlex_key,
@@ -89,10 +90,10 @@ def reference_cyclic_moves(system, w, cap):
                 yield min_rotation(core), (start, ci, 0)
 
 
-def reference_closure(system, start, cap, max_applications, cyclic, target=None,
-                      stop_on_ab=False):
+def reference_closure(system, start, cap, max_applications, cyclic, stop=None):
     """The closure loop over the reference enumerators, building every move
-    and charging one for each in-cap word not yet reached; returns
+    and charging one for each in-cap word not yet reached, and stopping after
+    the first word added for which `stop` is true; returns
     (applications, states, complete, parents, min_word)."""
     parents = {start: None}
     applications, min_word = 0, start
@@ -115,7 +116,7 @@ def reference_closure(system, start, cap, max_applications, cyclic, target=None,
             if shortlex_key(succ) < shortlex_key(min_word):
                 min_word = succ
             heapq.heappush(heap, (shortlex_key(succ), succ))
-            if succ == target or (stop_on_ab and all(is_ab_letter(x) for x in succ)):
+            if stop is not None and stop(succ):
                 return applications, len(parents), False, parents, min_word
     return applications, len(parents), True, parents, min_word
 
@@ -425,7 +426,8 @@ class TestMemo:
     def test_early_stopped_components_are_not_reused(self, p_k3_m1_r1):
         oracle = RankOracle(p_k3_m1_r1.relator_system(1))
         start = Word.parse("a.s1.s1.s1.A.b").letters
-        first, again = (oracle._closure(start, 10, OracleBudget(), cyclic=False, target=(2,))
+        first, again = (oracle._closure(start, 10, OracleBudget(), cyclic=False,
+                                        stop=(2,).__eq__)
                         for _ in range(2))
         assert not first.complete and (2,) in first.parents
         assert again is not first
@@ -491,13 +493,11 @@ class TestSuccessorGenerators:
             core, _ = cyclic_reduce_letters(w)
             w = min_rotation(core)
         cap = len(w) + slack
-        target = () if stop and not cyclic else None
-        stop_on_ab = stop and cyclic
+        # the stop rules of `_decide`: the empty word, or any {a, b} word
+        rule = None if not stop else is_ab_word if cyclic else ().__eq__
         comp = RankOracle(system)._closure(
-            w, cap, OracleBudget(max_relator_applications=max_applications), cyclic,
-            target=target, stop_on_ab=stop_on_ab)
-        expected = reference_closure(system, w, cap, max_applications, cyclic,
-                                     target=target, stop_on_ab=stop_on_ab)
+            w, cap, OracleBudget(max_relator_applications=max_applications), cyclic, rule)
+        expected = reference_closure(system, w, cap, max_applications, cyclic, stop=rule)
         assert (comp.applications, comp.states, comp.complete, dict(comp.parents),
                 comp.min_word) == expected
         assert comp.states <= max_applications + 1

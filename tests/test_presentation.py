@@ -6,11 +6,49 @@ import json
 import pytest
 
 from burnlab.errors import InputError
-from burnlab.oracle import OracleBudget
-from burnlab.presentation import GradedPresentation, SmallCancellationParams
-from burnlab.words import Alphabet, Word
+from burnlab.oracle import OracleBudget, RankOracle
+from burnlab.presentation import (
+    GradedPresentation,
+    SmallCancellationParams,
+    canonical_cyclic_candidates,
+)
+from burnlab.words import Alphabet, Word, cyclic_rep, is_ab_letter
 
 from conftest import small_k_params
+
+
+def _root(t):
+    """Shortest u with t == u^j."""
+    n = len(t)
+    return next((t[:d] for d in range(1, n) if n % d == 0 and t[:d] * (n // d) == t), t)
+
+
+def reference_is_simple(pres, word, rank, budget):
+    """(status, reason) of `is_simple`'s rules applied to the complete cyclic
+    component of the word, searched with no stop rule on a fresh oracle."""
+    oracle = RankOracle(pres.relator_system(rank))
+    w = cyclic_rep(word.letters)
+    if not w:
+        return "not-simple", "shorter-or-power"
+    if _root(w) != w:
+        return "not-simple", "free-power"
+    if all(is_ab_letter(x) for x in w):
+        return "not-simple", "in-ab"
+    in_ab = oracle.conjugate_into_ab(w, budget)
+    if in_ab.is_yes:
+        return "not-simple", "in-ab"
+    comp = oracle._closure(w, len(w) + budget.max_ball_radius, budget, cyclic=True)
+    powers = {cyclic_rep(p.letters * t) for j in range(1, rank + 1)
+              for p in pres.periods(j) for t in range(1, pres.params.k)}
+    if powers & comp.parents.keys():
+        return "not-simple", "period-power"
+    for member in comp.parents:
+        base = _root(member)
+        if len(member) < len(w) or len(base) < len(w) and len(base) < len(member):
+            return "not-simple", "shorter-or-power"
+    if in_ab.is_unknown or not comp.complete:
+        return "unknown", "budget"
+    return "simple", None
 
 
 class TestParameterGate:
@@ -131,6 +169,63 @@ class TestSimplicity:
 
     def test_fresh_mixed_word_is_simple(self, p_k3_m1_r1, budget):
         assert p_k3_m1_r1.is_simple(Word.parse("a.s1"), 1, budget).status == "simple"
+
+
+class TestEarlyStop:
+    """`is_simple` stops its cyclic search at the first period power it
+    reaches: its verdicts are those of the rules applied to the whole
+    component, a stopped search is not memoized, and a simple candidate's
+    complete component is, for `build_next_rank` to reuse."""
+
+    @pytest.fixture(scope="class", params=[(3, 4), (5, 3)], ids=["k3-rank4", "k5-rank3"])
+    def ladder(self, request):
+        # the presentation built to the rank below `top`, so it can ask every
+        # candidate of ranks 1..top
+        k, top = request.param
+        pres, _ = GradedPresentation.build(Alphabet(1), small_k_params(k), top - 1,
+                                           OracleBudget())
+        return pres, top
+
+    def test_verdicts_match_the_complete_component(self, ladder, budget):
+        pres, top = ladder
+        for n in range(1, top + 1):
+            for t in canonical_cyclic_candidates(pres.alphabet, n):
+                verdict = pres.is_simple(Word(t), n - 1, budget)
+                assert ((verdict.status, verdict.reason)
+                        == reference_is_simple(pres, Word(t), n - 1, budget)), t
+
+    def test_period_power_rejections_are_not_memoized(self, ladder, budget):
+        pres, top = ladder
+        rejected = 0
+        for n in range(1, top + 1):
+            oracle = pres.oracle(n - 1)
+            for t in canonical_cyclic_candidates(pres.alphabet, n):
+                if pres.is_simple(Word(t), n - 1, budget).reason == "period-power":
+                    rejected += 1
+                    assert (t, n + budget.max_ball_radius, True) not in oracle._components, t
+        assert rejected == {3: 84, 5: 0}[pres.params.k]
+
+    def test_build_reuses_the_simple_candidates_component(self, budget):
+        pres, _ = GradedPresentation.build(Alphabet(1), small_k_params(), 3, budget)
+        oracle = pres.oracle(3)
+        calls = []
+        search = oracle.cyclic_component
+
+        def spy(u, budget=None, stop=None):
+            comp = search(u, budget, stop)
+            calls.append((u, stop is None, comp))
+            return comp
+
+        oracle.cyclic_component = spy
+        report = pres.build_next_rank(budget)
+        checked = {u: comp for u, plain, comp in calls if not plain}
+        reused = [(u, comp) for u, plain, comp in calls if plain]
+        simple = [r for r in report.records
+                  if r.outcome == "admitted" or r.reason == "conjugate-duplicate"]
+        assert len(reused) == len(simple) == 52
+        for u, comp in reused:
+            assert comp.complete and comp is checked[u]
+            assert oracle._components[u, comp.cap, True] is comp
 
 
 class TestStructureAudit:

@@ -16,6 +16,8 @@ from burnlab.words import (
     free_ball_size,
     free_conjugate,
     inverse_letters,
+    is_ab_letter,
+    is_ab_word,
     is_cyclically_reduced,
     is_reduced,
     letter_key,
@@ -148,10 +150,9 @@ class TestCyclic:
         u, v = Word(a), Word(b)
         assert free_conjugate(u, v) == (CyclicWord.from_word(u) == CyclicWord.from_word(v))
 
-    def test_shifts_enumerate_rotations(self):
-        cw = CyclicWord(Word.parse("a.b.s1").letters)
-        shift_set = {w.letters for w in cw.shifts()}
-        assert shift_set == set(rotations(cw.rep))
+    @given(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=8))
+    def test_ab_word_is_every_letter_ab(self, seq):
+        assert is_ab_word(tuple(seq)) == all(is_ab_letter(x) for x in seq)
 
 
 class TestCodec:
