@@ -84,7 +84,7 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
             raise InputError("cannot read config %s: %s" % (path, exc))
         try:
             loaded = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError("config %s is not valid JSON: %s" % (path, exc))
         if not isinstance(loaded, dict):
             raise InputError("config root must be a JSON object")
@@ -280,7 +280,7 @@ def _read_expected(path: str) -> dict[str, tuple[bool, Optional[dict]]]:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError("cannot read expected file: %s" % exc)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError("expected file is not valid JSON: %s" % exc)
     if not isinstance(doc, dict):
         raise InputError("expected file must be an object mapping diagram names "

@@ -164,7 +164,7 @@ class Diagram:
     def from_json(cls, text: str) -> "Diagram":
         try:
             data = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError("malformed diagram JSON: %s" % exc) from None
         return cls.from_dict(data)
 

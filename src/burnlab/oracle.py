@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -137,14 +137,7 @@ class Verdict:
             "status": self.status,
             "witness": self.witness,
             "certificate": self.certificate,
-            "budget_used": None
-            if self.budget_used is None
-            else {
-                "states": self.budget_used.states,
-                "applications": self.budget_used.applications,
-                "cap": self.budget_used.cap,
-                "complete": self.budget_used.complete,
-            },
+            "budget_used": None if self.budget_used is None else asdict(self.budget_used),
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -426,38 +419,32 @@ def replay_trace(system: RelatorSystem, start: Sequence[int], steps: Iterable[di
     return tuple(w)
 
 
+def _replay_witness(system: RelatorSystem, start: tuple[int, ...], witness: dict
+                    ) -> Optional[tuple[int, ...]]:
+    """The word a witness's steps reach, or None when its recorded start is
+    not `start` or a step does not replay."""
+    if parse_letters(witness["start"]) != start:
+        return None
+    try:
+        return replay_trace(system, start, witness["steps"])
+    except ReplayError:
+        return None
+
+
 # the verifiers reduce raw query tuples freely, as the oracle's `_letters` does
 def verify_equality_witness(system: RelatorSystem, u: Sequence[int], v: Sequence[int], witness: dict) -> bool:
-    start = parse_letters(witness["start"])
-    if start != splice_reduce(reduce_letters(u), inverse_letters(reduce_letters(v)), ()):
-        return False
-    try:
-        end = replay_trace(system, start, witness["steps"])
-    except ReplayError:
-        return False
-    return end == ()
+    start = splice_reduce(reduce_letters(u), inverse_letters(reduce_letters(v)), ())
+    return _replay_witness(system, start, witness) == ()
 
 
 def verify_conjugacy_witness(system: RelatorSystem, u: Sequence[int], v: Sequence[int], witness: dict) -> bool:
-    start = parse_letters(witness["start"])
-    if start != reduce_letters(u):
-        return False
-    try:
-        end = replay_trace(system, start, witness["steps"])
-    except ReplayError:
-        return False
-    return cyclic_rep(end) == cyclic_rep(v)
+    end = _replay_witness(system, reduce_letters(u), witness)
+    return end is not None and cyclic_rep(end) == cyclic_rep(v)
 
 
 def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dict) -> bool:
-    start = parse_letters(witness["start"])
-    if start != reduce_letters(u):
-        return False
-    try:
-        end = replay_trace(system, start, witness["steps"])
-    except ReplayError:
-        return False
-    return is_ab_word(end) and end == parse_letters(witness["target"])
+    end = _replay_witness(system, reduce_letters(u), witness)
+    return end is not None and is_ab_word(end) and end == parse_letters(witness["target"])
 
 
 # closure engine

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem
@@ -288,8 +288,7 @@ class GradedPresentation:
         return self._periods[rank - 1]
 
     def approximate(self, rank: int) -> bool:
-        if not 1 <= rank <= self.max_rank:
-            raise StateError("rank %d not built (have 1..%d)" % (rank, self.max_rank))
+        self.periods(rank)  # raises StateError for a rank not built
         return self._approximate[rank - 1]
 
     def _append_rank(self, periods: Sequence[Word], approximate: bool) -> None:
@@ -327,11 +326,10 @@ class GradedPresentation:
         out = []
         for j in range(1, rank + 1):
             for idx, p in enumerate(self.periods(j)):
-                word = p.letters * self.params.k
-                if len(word) > MAX_RELATOR_LETTERS:
+                if len(p) * self.params.k > MAX_RELATOR_LETTERS:  # before building it
                     raise StateError("relator x%d.%d expands past %d letters"
                                      % (j, idx, MAX_RELATOR_LETTERS))
-                out.append(Relator(id="x%d.%d" % (j, idx), word=word, rank=j))
+                out.append(Relator(id="x%d.%d" % (j, idx), word=p.letters * self.params.k, rank=j))
         return out
 
     def relator_system(self, rank: int) -> RelatorSystem:
@@ -403,6 +401,20 @@ class GradedPresentation:
                                      "cyclic component not exhausted at cap %d" % comp.cap)
         return SimplicityVerdict("simple")
 
+    def _conjugacy_test(self, p: tuple[int, ...], rank: int,
+                        budget: Optional[OracleBudget]) -> Callable[[tuple[int, ...]], str]:
+        """Status of "p is conjugate to q at rank `rank`" as a function of
+        cyclic_rep(q), for |q| = |p|: "yes" when it is a member of p's cyclic
+        component (for a simple p, the one `is_simple` memoized), "no" when
+        that component is complete, else `RankOracle.conjugate`'s status.  The
+        component decides as that query would: the query's search to q is a
+        prefix of the same shortlex run within the same cap, and a nonzero
+        exponent residue keeps q out of the component."""
+        oracle = self.oracle(rank)
+        comp = oracle.cyclic_component(p, budget)
+        return lambda q_rep: ("yes" if q_rep in comp.parents else "no" if comp.complete
+                              else oracle.conjugate(p, q_rep, budget).status)
+
     # building --------------------------------------------------------------
 
     def build_next_rank(self, budget: Optional[OracleBudget] = None) -> BuildReport:
@@ -411,12 +423,11 @@ class GradedPresentation:
         slower: the evaluation is pure-Python work under the GIL.)"""
         rank = self.max_rank
         n = rank + 1
-        oracle = self.oracle(rank)
         candidates = canonical_cyclic_candidates(self.alphabet, n)
         verdicts = [self.is_simple(Word(t), rank, budget) for t in candidates]
 
         admitted: list[Word] = []
-        admitted_reps: list[tuple[tuple[int, ...], ...]] = []  # of each period and its inverse
+        admitted_reps: list[tuple[int, ...]] = []  # of each period and its inverse
         records: list[CandidateRecord] = []
         approximate = False
         for t, verdict in zip(candidates, verdicts):
@@ -428,12 +439,12 @@ class GradedPresentation:
                 records.append(CandidateRecord(name, "unknown", verdict.reason))
                 approximate = True
                 continue
-            comp = oracle.cyclic_component(t, budget)  # as is_simple memoized it
-            if any(rep in comp.parents for reps in admitted_reps for rep in reps):
+            conjugate_to = self._conjugacy_test(t, rank, budget)
+            if any(conjugate_to(rep) == "yes" for rep in admitted_reps):
                 records.append(CandidateRecord(name, "rejected", "conjugate-duplicate"))
                 continue
             admitted.append(Word(t))
-            admitted_reps.append((cyclic_rep(t), cyclic_rep(inverse_letters(t))))
+            admitted_reps += (t, cyclic_rep(inverse_letters(t)))
             records.append(CandidateRecord(name, "admitted", None))
 
         self._append_rank(admitted, approximate)
@@ -451,10 +462,7 @@ class GradedPresentation:
         if up_to_rank < 0:
             raise InputError("up_to_rank must be >= 0")
         pres = cls(alphabet, params)
-        reports = []
-        for _ in range(up_to_rank):
-            reports.append(pres.build_next_rank(budget=budget))
-        return pres, reports
+        return pres, [pres.build_next_rank(budget=budget) for _ in range(up_to_rank)]
 
     # verification ------------------------------------------------------------
 
@@ -464,7 +472,7 @@ class GradedPresentation:
         P1 period shape: canonical cyclically reduced rotation, length = rank.
         P2 simplicity: each rank-j period is simple for the rank j-1 oracle.
         P3 separation: periods of equal rank pairwise non-conjugate, inverses
-           included.
+           included, by `_conjugacy_test` on the earlier period, as the build.
         P4 relators: stored relator words are exact k-th powers of periods.
         """
         failures: list[tuple[str, int, str]] = []
@@ -489,30 +497,29 @@ class GradedPresentation:
                     )
 
         for j in range(1, self.max_rank + 1):
-            oracle = self.oracle(j - 1)
             ps = self.periods(j)
-            for i1 in range(len(ps)):
+            reps = [(cyclic_rep(p.letters), cyclic_rep((~p).letters)) for p in ps]
+            for i1 in range(len(ps) - 1):
+                conjugate_to = self._conjugacy_test(ps[i1].letters, j - 1, budget)
                 for i2 in range(i1 + 1, len(ps)):
-                    for other in (ps[i2], ~ps[i2]):
-                        verdict = oracle.conjugate(ps[i1], other, budget)
-                        if verdict.is_yes:
+                    for rep in reps[i2]:
+                        status = conjugate_to(rep)
+                        if status == "yes":
                             failures.append(
                                 ("P3", j, "periods %s and %s are conjugate in rank %d"
                                  % (ps[i1].format(), ps[i2].format(), j - 1))
                             )
                             break
-                        if verdict.is_unknown and not self.approximate(j):
+                        if status == "unknown" and not self.approximate(j):
                             failures.append(
                                 ("P3", j, "conjugacy of %s and %s undecided but rank "
                                  "not flagged approximate" % (ps[i1].format(), ps[i2].format()))
                             )
 
         for rel in self.relators(self.max_rank):
-            j = rel.rank
-            idx = int(rel.id.split(".")[1])
-            p = self.periods(j)[idx]
+            p = self.periods(rel.rank)[int(rel.id.split(".")[1])]
             if rel.word != p.letters * self.params.k:
-                failures.append(("P4", j, "relator %s is not period^k" % rel.id))
+                failures.append(("P4", rel.rank, "relator %s is not period^k" % rel.id))
 
         approx = tuple(j for j in range(1, self.max_rank + 1) if self.approximate(j))
         return StructureReport(ok=not failures, failures=tuple(failures),
@@ -558,7 +565,7 @@ class GradedPresentation:
     def from_json(cls, text: str) -> "GradedPresentation":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InputError("presentation document is not valid JSON: %s" % exc)
         return cls.from_dict(data)
 

@@ -18,8 +18,9 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 
-A_LETTER = 1
-B_LETTER = 2
+# generator indices have at most this many digits, counted before int() so
+# that it never meets a huge literal; no alphabet a run can enumerate nears 10^18
+MAX_INDEX_DIGITS = 18
 
 
 def letter_key(letter: int) -> int:
@@ -230,7 +231,10 @@ def _token_letter(tok: str) -> int:
         return 2
     if tok == "B":
         return -2
-    if len(tok) >= 2 and tok[0] in "sS" and tok[1:].isdigit():
+    if len(tok) >= 2 and tok[0] in "sS" and tok[1:].isdecimal():
+        if len(tok) - 1 > MAX_INDEX_DIGITS:
+            raise InputError("generator index in %r... has more than %d digits"
+                             % (tok[:MAX_INDEX_DIGITS], MAX_INDEX_DIGITS))
         idx = int(tok[1:])
         if idx < 1:
             raise InputError("generator index must be >= 1 in %r" % tok)
@@ -264,7 +268,7 @@ def parse_letters(text: str) -> tuple[int, ...]:
         c = text[i]
         if c in "sS":
             j = i + 1
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j == i + 1:
                 raise InputError("generator letter %r needs an index in %r" % (c, text))

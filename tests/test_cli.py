@@ -283,6 +283,11 @@ class TestDiagramCheck:
         ([], "document root must be an object, got []"),
         ({"vertices": 3, "edges": [], "faces": []},
          "field vertices must be a list of strings, got 3"),
+        ({"topology": "disk", "vertices": ["v"], "faces": [], "contours": [],
+          "edges": [{"id": "e", "from": "v", "to": "v", "label": "s" + "9" * 5000,
+                     "inverse_id": "e"}]},
+         "field edges[0].label: generator index in 's99999999999999999'... has more than "
+         "18 digits"),
     ])
     def test_malformed_diagram_exits_2_naming_its_field(self, workspace, tmp_path, capsys,
                                                         doc, message):
@@ -342,6 +347,31 @@ class TestStructure:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    @pytest.mark.parametrize("command", [["structure"], ["growth", "--rank", "1", "--n-max", "1"]])
+    def test_overlong_generator_index_exits_2(self, workspace, tmp_path, capsys, command):
+        doc = json.loads(Path(presentation_path(workspace, 1)).read_text())
+        doc["ranks"][0]["periods"] = ["S" + "9" * 5000]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main(command + ["--presentation", str(bad), "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "generator index in 'S99999999999999999'... has more than 18 digits" in err
+
+    def test_relator_past_the_letter_cap_exits_2(self, tmp_path, capsys):
+        # the length is compared before the relator word is built: s1^k at
+        # this k would not fit in memory
+        k = 4611686018427387905
+        assert cli.main(["build", "--max-rank", "1", "--k", str(k),
+                         "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rc = cli.main(["structure", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "relator x1.0 expands past 10000 letters" in err
+
 
 class TestConfig:
     def test_file_env_and_flags_precedence(self, tmp_path, monkeypatch):
@@ -377,6 +407,22 @@ class TestConfig:
                        "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"seed": %s}' % ("9" * 5000), "[" * 100_000],
+                             ids=["5000-digit-integer", "deep-nesting"])
+    @pytest.mark.parametrize("loader", ["config", "expected", "diagram"])
+    def test_unparseable_json_exits_2(self, workspace, tmp_path, capsys, text, loader):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        diagram = str(bad if loader == "diagram" else DIAGRAM_DIR / "c01-cell-s1cubed.json")
+        argv = ["diagram-check", diagram, "--presentation", presentation_path(workspace, 1),
+                "--out-dir", str(tmp_path)]
+        if loader != "diagram":
+            argv += ["--" + loader, str(bad)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("malformed diagram JSON" if loader == "diagram" else "not valid JSON") in err
 
     @pytest.mark.parametrize("doc, field", [
         ({"budget": {"max_relator_applications": "x"}},
@@ -484,7 +530,16 @@ class TestGoldenBuildBytes:
 
     def test_rank4_k3_bytes_match_recorded(self, tmp_path):
         assert cli.main(["build", "--max-rank", "4", "--out-dir", str(tmp_path)]) == 0
-        expected = sorted((GOLDEN_DIR / "build-rank4-k3").iterdir())
-        assert [path.name for path in expected] == ["build-report.txt", "presentation.json"]
+        expected = [GOLDEN_DIR / "build-rank4-k3" / name
+                    for name in ("build-report.txt", "presentation.json")]
         for path in expected:
             assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_rank4_k3_structure_bytes_match_recorded(self, tmp_path):
+        # the audit of the recorded presentation, as recorded when P3 made
+        # one `RankOracle.conjugate` query per pair of periods
+        golden = GOLDEN_DIR / "build-rank4-k3"
+        assert cli.main(["structure", "--presentation", str(golden / "presentation.json"),
+                         "--out-dir", str(tmp_path)]) == 0
+        assert ((tmp_path / "structure.json").read_bytes()
+                == (golden / "structure.json").read_bytes())

@@ -1,9 +1,12 @@
 """Graded presentations: the admission procedure, frozen small builds, the
 parameter gate, structure auditing, and the JSON codec."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from burnlab.errors import InputError
 from burnlab.oracle import OracleBudget, RankOracle
@@ -228,6 +231,85 @@ class TestEarlyStop:
             assert oracle._components[u, comp.cap, True] is comp
 
 
+def reference_p3(pres, budget):
+    """Status of every pair P3 asks about, keyed (rank, i1, i2, inverse?),
+    and the P3 failures they give, from one `RankOracle.conjugate` query per
+    pair on a fresh copy of the presentation."""
+    fresh = GradedPresentation.from_dict(pres.to_dict())
+    statuses, failures = {}, []
+    for j in range(1, fresh.max_rank + 1):
+        oracle = fresh.oracle(j - 1)
+        ps = fresh.periods(j)
+        for i1 in range(len(ps)):
+            for i2 in range(i1 + 1, len(ps)):
+                for inverse, other in enumerate((ps[i2], ~ps[i2])):
+                    status = oracle.conjugate(ps[i1], other, budget).status
+                    statuses[j, i1, i2, inverse] = status
+                    if status == "yes":
+                        failures.append(("P3", j, "periods %s and %s are conjugate in rank %d"
+                                         % (ps[i1].format(), ps[i2].format(), j - 1)))
+                        break
+                    if status == "unknown" and not fresh.approximate(j):
+                        failures.append(("P3", j, "conjugacy of %s and %s undecided but rank "
+                                         "not flagged approximate"
+                                         % (ps[i1].format(), ps[i2].format())))
+    return statuses, failures
+
+
+@pytest.fixture
+def conjugate_calls(monkeypatch):
+    """Count of `RankOracle.conjugate` calls made while the test runs."""
+    calls = []
+    query = RankOracle.conjugate
+
+    def spy(self, u, v, budget=None):
+        calls.append((u, v))
+        return query(self, u, v, budget)
+
+    monkeypatch.setattr(RankOracle, "conjugate", spy)
+    return calls
+
+
+class TestOneConjugacyTest:
+    """P3 decides each pair of periods from the earlier period's cyclic
+    component, as `build_next_rank` does; only an incomplete component asks
+    `RankOracle.conjugate`, and every status is the one that query gives."""
+
+    @pytest.fixture(scope="class", params=[(1, 3, 3), (1, 5, 4), (2, 5, 2), (2, 3, 2)],
+                    ids=["m1-k3-rank3", "m1-k5-rank4", "m2-k5-rank2", "m2-k3-rank2"])
+    def built(self, request):
+        m, k, rank = request.param
+        pres, _ = GradedPresentation.build(Alphabet(m), small_k_params(k), rank,
+                                           OracleBudget())
+        return pres
+
+    @pytest.mark.parametrize("audit_budget", [
+        OracleBudget(), OracleBudget(max_relator_applications=3),
+        OracleBudget(max_relator_applications=40),
+        OracleBudget(max_ball_radius=1, max_relator_applications=10),
+    ], ids=["default", "3-moves", "40-moves", "radius1-10-moves"])
+    def test_statuses_match_pairwise_conjugate(self, built, audit_budget, conjugate_calls):
+        expected, expected_failures = reference_p3(built, audit_budget)
+        pres = GradedPresentation.from_dict(built.to_dict())
+        report = pres.verify_structure(audit_budget)
+        assert [f for f in report.failures if f[0] == "P3"] == expected_failures
+        fallbacks = len(conjugate_calls) - len(expected)
+        for (j, i1, i2, inverse), status in expected.items():
+            p, q = pres.periods(j)[i1], pres.periods(j)[i2]
+            q_rep = cyclic_rep((~q if inverse else q).letters)
+            assert pres._conjugacy_test(p.letters, j - 1, audit_budget)(q_rep) == status
+        # the periods of a clean build are pairwise non-conjugate, so each
+        # earlier period with an incomplete component asks at least once
+        incomplete = [p for j in range(1, pres.max_rank + 1) for p in pres.periods(j)[:-1]
+                      if not pres.oracle(j - 1).cyclic_component(p, audit_budget).complete]
+        assert (fallbacks > 0) == bool(incomplete)
+
+    def test_clean_audit_makes_no_conjugate_query(self, conjugate_calls):
+        pres, _ = GradedPresentation.build(Alphabet(1), small_k_params(5), 4)
+        report = GradedPresentation.from_dict(pres.to_dict()).verify_structure()
+        assert report.ok and conjugate_calls == []
+
+
 class TestStructureAudit:
     def test_clean_builds_verify(self, p_k3_m1_r2, p_k5_m2_r2, budget):
         assert p_k3_m1_r2.verify_structure(budget).ok
@@ -268,7 +350,60 @@ class TestStructureAudit:
         assert any(code == "P2" for code, _, _ in report.failures)
 
 
+# a valid presentation document, and every place in it a mutation can reach
+VALID_DOC = GradedPresentation(
+    Alphabet(1), small_k_params(),
+    [([Word.parse("s1")], False), ([Word.parse("a.s1"), Word.parse("b.s1")], True)]).to_dict()
+
+
+def _doc_paths(node, path=()):
+    yield path
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) \
+        if isinstance(node, list) else ()
+    for key in keys:
+        yield from _doc_paths(node[key], path + (key,))
+
+
+DELETE = object()
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.from_regex(r"[aAbBsS.0-9]{0,12}", fullmatch=True),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
 class TestCodec:
+    @given(path=st.sampled_from(list(_doc_paths(VALID_DOC))),
+           value=json_values | st.just(DELETE))
+    @example(path=("ranks", 0, "periods", 0), value="S" + "9" * 5000)
+    @example(path=("ranks", 0, "periods", 0), value="s\u00b2")  # a digit int() refuses
+    @example(path=("params", "k"), value=4611686018427387905)
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_document_loads_or_raises_input_error(self, path, value):
+        doc = copy.deepcopy(VALID_DOC)
+        if not path:
+            doc = {} if value is DELETE else value
+        else:
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        try:
+            GradedPresentation.from_json(json.dumps(doc))
+        except InputError:
+            pass
+
+    @pytest.mark.parametrize("text", [
+        '{"alphabet": {"m": %s}}' % ("9" * 5000), "[" * 100_000,
+    ], ids=["5000-digit-integer", "deep-nesting"])
+    def test_unparseable_json_raises_input_error(self, text):
+        with pytest.raises(InputError, match="not valid JSON"):
+            GradedPresentation.from_json(text)
+
     def test_json_round_trip(self, p_k3_m1_r2):
         again = GradedPresentation.from_json(p_k3_m1_r2.to_json())
         assert again.alphabet == p_k3_m1_r2.alphabet
