@@ -10,7 +10,7 @@ Counting conventions:
   has a positive ab-lengthening margin those words are pairwise distinct
   geodesics, so the free rank-2 closed form 2*3^r - 1 is exact.
 * The density numerator #(B(n) cap H^G) has three computation paths: a
-  direct cyclic-core scan (rank 0), an exact transfer-matrix count (rank 0,
+  direct cyclic-core scan (rank 0), an exact closed-form count (rank 0,
   any radius), and the union enumeration over pairs V K V^-1 with
   |K| + 2|V| <= n, which works at any rank via oracle canonicalization.
   The floor in |V| <= (n-|K|)/2 is forced by parity: a reduced conjugation
@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from .errors import InputError
 from .oracle import OracleBudget
 from .words import (
+    AB_LETTERS,
     Alphabet,
     cyclic_reduce_letters,
     free_ball_size,
@@ -126,7 +127,7 @@ def growth(presentation, rank: int, n_max: int,
            subgroup: str = "G") -> GrowthTable:
     if subgroup not in ("G", "H"):
         raise InputError("subgroup must be 'G' or 'H'")
-    letters = None if subgroup == "G" else [1, -1, 2, -2]
+    letters = None if subgroup == "G" else AB_LETTERS
     ball = enumerate_ball(presentation, rank, n_max, budget, letters=letters)
     flag = ball.flag
     if subgroup == "H" and rank >= 1:
@@ -140,48 +141,21 @@ def growth(presentation, rank: int, n_max: int,
 # density of the conjugates of H
 
 
-def _ab_transfer_counts(max_len: int) -> list[int]:
-    """Cyclically reduced words of each length over {a,b}^+- (4 letters)."""
-    letters = [1, -1, 2, -2]
-    counts = [1]
-    if max_len >= 1:
-        counts.append(4)
-    # paths[f][l] = reduced words of current length with first f, last l
-    paths = {f: {l: 1 if l == f else 0 for l in letters} for f in letters}
-    for length in range(2, max_len + 1):
-        nxt = {f: {l: 0 for l in letters} for f in letters}
-        for f in letters:
-            for l in letters:
-                if not paths[f][l]:
-                    continue
-                for x in letters:
-                    if x != -l:
-                        nxt[f][x] += paths[f][l]
-        paths = nxt
-        counts.append(sum(paths[f][l] for f in letters for l in letters if l != -f))
-    return counts
-
-
 def rank0_hg_count(alphabet: Alphabet, n: int) -> int:
-    """#(B(n) cap H^G) in the free stage, by exact counting.
+    """#(B(n) cap H^G) in the free stage, in closed form.
 
     Every such element w factors uniquely as V K V^-1 reduced-as-written with
     K nonempty cyclically reduced over {a,b} and |K| + 2|V| <= n, plus the
-    identity.  K's ends forbid exactly two last letters for V, hence the
-    (2g-2)(2g-1)^(v-1) conjugator count.
+    identity.  There are 3^j + 2 + (-1)^j such K of length j (the trace of
+    the j-th power of the 4-letter non-backtracking matrix), and K's ends
+    forbid exactly two last letters for V, so 1 + sum over v = 1..vmax of
+    (2g-2)(2g-1)^(v-1) = (2g-1)^vmax conjugators have |V| <= vmax.
     """
     if n < 0:
         raise InputError("n must be >= 0")
-    g2 = 2 * alphabet.size
-    cr = _ab_transfer_counts(n)
-    total = 1
-    for j in range(1, n + 1):
-        vmax = (n - j) // 2
-        vcount = 1
-        for v in range(1, vmax + 1):
-            vcount += (g2 - 2) * (g2 - 1) ** (v - 1)
-        total += cr[j] * vcount
-    return total
+    base = 2 * alphabet.size - 1
+    return 1 + sum((3 ** j + 2 + (-1) ** j) * base ** ((n - j) // 2)
+                   for j in range(1, n + 1))
 
 
 def rank0_hg_elements(alphabet: Alphabet, n: int) -> set[tuple[int, ...]]:
@@ -207,7 +181,7 @@ def hg_union_elements(presentation, rank: int, n: int,
     for el in ball.elements:
         by_norm.setdefault(len(el), []).append(el)
     out: set[tuple[int, ...]] = set()
-    for k_word in reduced_words_up_to(presentation.alphabet, n, letters=[1, -1, 2, -2]):
+    for k_word in reduced_words_up_to(presentation.alphabet, n, letters=AB_LETTERS):
         vmax = (n - len(k_word)) // 2
         for v_len in range(vmax + 1):
             for v in by_norm.get(v_len, ()):

@@ -119,9 +119,7 @@ def load_config(args: argparse.Namespace) -> SessionConfig:
         if value is not None:
             data[key] = value
 
-    m = read_field(data, "m", "int")
-    if m < 0:
-        raise InputError("m must be a non-negative integer")
+    m = Alphabet(read_field(data, "m", "int")).m
     if data["format"] not in ("csv", "json"):
         raise InputError("format must be csv or json")
     seed = None if data["seed"] is None else read_field(data, "seed", "int")

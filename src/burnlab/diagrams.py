@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InputError, InvariantViolation, StateError
-from .oracle import OracleBudget, ReplayError, Verdict, inverse_letters
+from .oracle import (OracleBudget, ReplayError, Verdict, insert_material, inverse_letters,
+                     replay_trace)
 from .presentation import read_field
 from .words import CyclicWord, Word, _letter_token, _token_letter, min_rotation, reduce_letters
 
@@ -516,6 +517,16 @@ def _geodesic_items(diagram, oracle, budget, subject, edge_ids, window,
     return items
 
 
+def _contiguity_items(records: Sequence[ContiguityRecord], subject: str, rank: int,
+                      params) -> list[CheckItem]:
+    """The contiguity rule: each record of degree >= epsilon passes when
+    |q2| < (1+gamma)*rank and fails otherwise."""
+    return [CheckItem(subject, "pass", "|q2| = %d < (1+gamma)*%d" % (rec.q2_length, rank))
+            if rec.q2_length < (1 + params.gamma) * rank else
+            CheckItem(subject, "fail", "|q2| = %d >= (1+gamma)*%d" % (rec.q2_length, rank))
+            for rec in records if rec.degree >= params.epsilon]
+
+
 def check_condition_A(diagram: Diagram, presentation,
                       validation: Optional[ValidationReport] = None,
                       budget: Optional[OracleBudget] = None) -> ConditionAReport:
@@ -558,22 +569,10 @@ def check_condition_A(diagram: Diagram, presentation,
     cells = diagram.cells()
     for pi in cells:
         for tgt in cells:
-            if tgt.id == pi.id:
-                continue
-            for rec in find_contiguity(diagram, pi.id, tgt.id):
-                if rec.degree < params.epsilon:
-                    continue
-                bound = (1 + params.gamma) * validation.cell_ranks[tgt.id]
-                if Fraction(rec.q2_length) < bound:
-                    a3.append(CheckItem(
-                        "%s->%s" % (pi.id, tgt.id), "pass",
-                        "|q2| = %d < (1+gamma)*%d" % (rec.q2_length,
-                                                      validation.cell_ranks[tgt.id])))
-                else:
-                    a3.append(CheckItem(
-                        "%s->%s" % (pi.id, tgt.id), "fail",
-                        "|q2| = %d >= (1+gamma)*r = %s"
-                        % (rec.q2_length, bound)))
+            if tgt.id != pi.id:
+                a3.extend(_contiguity_items(
+                    find_contiguity(diagram, pi.id, tgt.id), "%s->%s" % (pi.id, tgt.id),
+                    validation.cell_ranks[tgt.id], params))
     if not a3:
         a3.append(CheckItem("-", "pass", "no contiguity at degree >= epsilon"))
     return ConditionAReport(tuple(a1), tuple(a2), tuple(a3))
@@ -603,19 +602,11 @@ def check_smooth_section(diagram: Diagram, section: Sequence[str], rank: int,
     oracle = presentation.oracle(min(rank, presentation.max_rank))
     geo = _geodesic_items(diagram, oracle, budget, "section", section,
                           max(rank, 2), cyclic=False)
-    params = presentation.params
     cont = []
     for f in diagram.cells():
-        for rec in find_contiguity(diagram, f.id, section, target_name="section"):
-            if rec.degree < params.epsilon:
-                continue
-            bound = (1 + params.gamma) * rank
-            if Fraction(rec.q2_length) < bound:
-                cont.append(CheckItem(f.id, "pass",
-                                      "|q2| = %d < (1+gamma)*%d" % (rec.q2_length, rank)))
-            else:
-                cont.append(CheckItem(f.id, "fail",
-                                      "|q2| = %d >= (1+gamma)*%d" % (rec.q2_length, rank)))
+        cont.extend(_contiguity_items(
+            find_contiguity(diagram, f.id, section, target_name="section"), f.id, rank,
+            presentation.params))
     if not cont:
         cont.append(CheckItem("-", "pass", "no cell contiguity at degree >= epsilon"))
     return SmoothSectionReport(tuple(geo), tuple(cont))
@@ -753,7 +744,7 @@ class _Builder:
         self.cells.append(list(refs))
         self.cell_ranks.append(rank)
 
-    def build(self, topology="circular") -> Diagram:
+    def build(self) -> Diagram:
         if self.path:
             raise InvariantViolation("trace did not close the boundary")
         live: set[str] = set()
@@ -787,35 +778,31 @@ class _Builder:
                               "cell", self.cell_ranks[i]))
         outer_boundary = tuple(dname(r) for r in contour_refs)
         faces.append(Face("outer", outer_boundary, "outer", None))
-        return Diagram(topology, sorted(vertices), edges, faces,
+        return Diagram("circular", sorted(vertices), edges, faces,
                        [list(outer_boundary)])
 
 
 def diagram_from_trace(presentation, start: Word, witness: dict) -> Diagram:
     """Build the circular diagram traced by an equality witness whose steps
-    reduce `start` to the empty word."""
+    reduce `start` to the empty word.  A witness with another op, or one that
+    does not replay to the empty word, raises InputError."""
     system = presentation.relator_system(presentation.max_rank)
+    steps = list(witness.get("steps", ()))
+    for step in steps:
+        if step.get("op") not in ("free-cancel", "relator-insert"):
+            raise InputError("equality witness contains op %r" % step.get("op"))
+    try:
+        if replay_trace(system, start.letters, steps):
+            raise InputError("witness does not replay to the empty word")
+    except ReplayError as exc:
+        raise InputError("witness does not replay: %s" % exc) from None
     b = _Builder(start.letters)
-    for step in witness.get("steps", ()):
-        op = step.get("op")
-        if op == "free-cancel":
+    for step in steps:
+        if step["op"] == "free-cancel":
             b.cancel(step["position"])
-        elif op == "relator-insert":
-            try:
-                rel = system.relator_by_id(step["relator-id"])
-            except ReplayError:
-                raise InputError("witness names unknown relator %r"
-                                 % step["relator-id"])
-            sign, shift = step["sign"], step["shift"]
-            if sign not in (1, -1):
-                raise InputError("relator-insert has bad sign %r" % (sign,))
-            if not 0 <= shift < len(rel.word):
-                raise InputError("relator-insert has bad shift %r" % (shift,))
-            base = rel.word if sign == 1 else inverse_letters(rel.word)
-            material = base[shift:] + base[:shift]
-            b.insert(step["position"], material, rel.rank)
         else:
-            raise InputError("equality witness contains op %r" % op)
+            rel, material = insert_material(system, step)
+            b.insert(step["position"], material, rel.rank)
     return b.build()
 
 

@@ -133,13 +133,7 @@ class Verdict:
         return self.status == "unknown"
 
     def to_json(self) -> str:
-        payload = {
-            "status": self.status,
-            "witness": self.witness,
-            "certificate": self.certificate,
-            "budget_used": None if self.budget_used is None else asdict(self.budget_used),
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -382,6 +376,18 @@ def _cyclic_rep_steps(letters: tuple[int, ...], rep: tuple[int, ...]) -> list[di
     return steps + fsteps
 
 
+def insert_material(system: RelatorSystem, step: dict) -> tuple[Relator, tuple[int, ...]]:
+    """The relator a relator-insert step names and the letters it inserts."""
+    rel = system.relator_by_id(step["relator-id"])
+    sign, shift = step["sign"], step["shift"]
+    if sign not in (1, -1):
+        raise ReplayError("bad sign %r" % sign)
+    if not 0 <= shift < len(rel.word):
+        raise ReplayError("bad shift %r" % shift)
+    base = rel.word if sign == 1 else inverse_letters(rel.word)
+    return rel, base[shift:] + base[:shift]
+
+
 def replay_trace(system: RelatorSystem, start: Sequence[int], steps: Iterable[dict]) -> tuple[int, ...]:
     """Independent witness checker: apply each recorded step literally,
     validating its preconditions, and return the final letter tuple."""
@@ -389,15 +395,7 @@ def replay_trace(system: RelatorSystem, start: Sequence[int], steps: Iterable[di
     for step in steps:
         op = step.get("op")
         if op == "relator-insert":
-            rel = system.relator_by_id(step["relator-id"])
-            sign = step["sign"]
-            if sign not in (1, -1):
-                raise ReplayError("bad sign %r" % sign)
-            base = rel.word if sign == 1 else inverse_letters(rel.word)
-            shift = step["shift"]
-            if not 0 <= shift < len(base):
-                raise ReplayError("bad shift %r" % shift)
-            material = base[shift:] + base[:shift]
+            material = insert_material(system, step)[1]
             pos = step["position"]
             if not 0 <= pos <= len(w):
                 raise ReplayError("insert position %r out of range" % pos)

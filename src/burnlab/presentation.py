@@ -44,7 +44,9 @@ def _fraction_field(value) -> Fraction:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
+    # Fraction builds 10^e in full for an exponent part, so "1e-10000000"
+    # would take seconds; no rational here needs one
+    if isinstance(value, str) and "e" not in value.lower():
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

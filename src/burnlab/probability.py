@@ -197,7 +197,7 @@ class StepDistribution:
     support words up to twice the longest support length): if some alphabet
     letter is never reached the flag `maybe_degenerate` is set.  That is a
     warning, not an error: restricted walks (e.g. on a cyclic quotient) are
-    legitimate and the flag just surfaces in reports.
+    legitimate.  No report prints the flag; a caller reads it from here.
 
     A draw takes the first word whose running float sum (`thresholds`)
     exceeds one `rng.random()`, else the last word: rounding can leave the

@@ -21,6 +21,10 @@ from .errors import InputError
 # generator indices have at most this many digits, counted before int() so
 # that it never meets a huge literal; no alphabet a run can enumerate nears 10^18
 MAX_INDEX_DIGITS = 18
+# the largest m an Alphabet takes: a radius-2 ball at m = 10^6 has about 4*10^12
+# elements, far past any run, while the (m + 2)-integer exponent vectors of a
+# relator system stay megabytes; a larger m only reaches those allocations
+MAX_ALPHABET_M = 1_000_000
 
 
 def letter_key(letter: int) -> int:
@@ -46,16 +50,20 @@ class _LetterKeys(dict):
 _letter_key_of = _LetterKeys().__getitem__
 
 
+# the letters of the subgroup H = <a, b>, in letter_key order
+AB_LETTERS = (1, -1, 2, -2)
+
+
 def is_ab_letter(letter: int) -> bool:
-    return letter in (1, -1, 2, -2)
+    return letter in AB_LETTERS
 
 
-_AB_LETTERS = frozenset((1, -1, 2, -2))
+_AB_SET = frozenset(AB_LETTERS)
 
 
 def is_ab_word(letters: Iterable[int]) -> bool:
     """Whether every letter is a, b or an inverse; the empty word is."""
-    return _AB_LETTERS.issuperset(letters)
+    return _AB_SET.issuperset(letters)
 
 
 def reduce_letters(seq: Iterable[int]) -> tuple[int, ...]:
@@ -430,6 +438,8 @@ class Alphabet:
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 0:
             raise InputError("m must be a nonnegative integer, got %r" % (m,))
+        if m > MAX_ALPHABET_M:
+            raise InputError("m exceeds MAX_ALPHABET_M = %d" % MAX_ALPHABET_M)
         object.__setattr__(self, "m", m)
 
     @property
@@ -450,9 +460,6 @@ class Alphabet:
         for g in range(1, self.size + 1):
             out.extend((g, -g))
         return out
-
-    def ab_letters(self) -> list[int]:
-        return [1, -1, 2, -2]
 
     def contains(self, letter: int) -> bool:
         return letter != 0 and abs(letter) <= self.size

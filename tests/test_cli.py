@@ -69,6 +69,13 @@ class TestBuild:
         assert "C-K-ODD" in capsys.readouterr().err
         assert not (tmp_path / "presentation.json").exists()
 
+    def test_alphabet_past_its_bound_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["build", "--max-rank", "0", "--m", str(10 ** 30),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "m exceeds MAX_ALPHABET_M = 1000000" in err
+
 
 class TestGrowth:
     def test_single_row_table(self, workspace, tmp_path):
@@ -331,6 +338,7 @@ class TestStructure:
         (("ranks", 0, "periods"), 5, "field ranks[0].periods must be a list of strings"),
         (("ranks",), "x", "field ranks must be a list"),
         (("params", "k"), 3.5, "field params.k must be an integer, got 3.5"),
+        (("alphabet", "m"), 10 ** 30, "m exceeds MAX_ALPHABET_M = 1000000"),
     ])
     def test_malformed_presentation_exits_2(self, workspace, tmp_path, capsys,
                                             path, value, message):
@@ -434,6 +442,7 @@ class TestConfig:
         ({"m": True}, "field m must be an integer"),
         ({"seed": "7"}, "field seed must be an integer"),
         ({"out_dir": 5}, "field out_dir must be a string"),
+        ({"params": {"alpha": "1e-100000000"}}, "field params.alpha must be an exact rational"),
     ])
     def test_mistyped_field_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
                                               doc, field):

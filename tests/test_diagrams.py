@@ -231,6 +231,17 @@ class TestCertificates:
             with pytest.raises(InputError, match=message):
                 diagram_from_trace(p3, Word.parse("s1s1s1"), {"steps": [insert] + cancels})
 
+    @pytest.mark.parametrize("start, steps", [
+        # ab != 1 by abelian residue; this once gave a 0-cell diagram reading aA
+        ("ab", [{"op": "free-cancel", "position": 0}]),
+        ("s1", []),  # ends off the empty word
+        ("s1s1s1", [{"op": "relator-insert", "position": 9, "relator-id": "x1.0",
+                     "sign": 1, "shift": 0}]),
+    ], ids=["cancel-of-non-inverses", "no-steps", "insert-past-the-end"])
+    def test_trace_replay_rejects_forged_witnesses(self, pres, start, steps):
+        with pytest.raises(InputError, match="witness does not replay"):
+            diagram_from_trace(pres["k3m1r1"], Word.parse(start), {"steps": steps})
+
 
 class TestReducedness:
     def test_mirror_pair_is_not_reduced(self, corpus, pres):

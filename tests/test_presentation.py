@@ -1,7 +1,6 @@
 """Graded presentations: the admission procedure, frozen small builds, the
 parameter gate, structure auditing, and the JSON codec."""
 
-import copy
 import json
 
 import pytest
@@ -18,6 +17,7 @@ from burnlab.presentation import (
 from burnlab.words import Alphabet, Word, cyclic_rep, is_ab_letter
 
 from conftest import small_k_params
+from fuzz_docs import DELETE, doc_paths, json_values, mutated
 
 
 def _root(t):
@@ -356,44 +356,16 @@ VALID_DOC = GradedPresentation(
     [([Word.parse("s1")], False), ([Word.parse("a.s1"), Word.parse("b.s1")], True)]).to_dict()
 
 
-def _doc_paths(node, path=()):
-    yield path
-    keys = node.keys() if isinstance(node, dict) else range(len(node)) \
-        if isinstance(node, list) else ()
-    for key in keys:
-        yield from _doc_paths(node[key], path + (key,))
-
-
-DELETE = object()
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-    | st.from_regex(r"[aAbBsS.0-9]{0,12}", fullmatch=True),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
-    max_leaves=6)
-
-
 class TestCodec:
-    @given(path=st.sampled_from(list(_doc_paths(VALID_DOC))),
+    @given(path=st.sampled_from(list(doc_paths(VALID_DOC))),
            value=json_values | st.just(DELETE))
     @example(path=("ranks", 0, "periods", 0), value="S" + "9" * 5000)
     @example(path=("ranks", 0, "periods", 0), value="s\u00b2")  # a digit int() refuses
     @example(path=("params", "k"), value=4611686018427387905)
     @settings(max_examples=300, deadline=None)
     def test_mutated_document_loads_or_raises_input_error(self, path, value):
-        doc = copy.deepcopy(VALID_DOC)
-        if not path:
-            doc = {} if value is DELETE else value
-        else:
-            node = doc
-            for key in path[:-1]:
-                node = node[key]
-            if value is DELETE:
-                del node[path[-1]]
-            else:
-                node[path[-1]] = value
         try:
-            GradedPresentation.from_json(json.dumps(doc))
+            GradedPresentation.from_json(json.dumps(mutated(VALID_DOC, path, value)))
         except InputError:
             pass
 

@@ -199,7 +199,6 @@ class TestAlphabet:
         assert A1.size == 3
         assert A2.size == 4
         assert A1.letters() == [1, -1, 2, -2, 3, -3]
-        assert A2.ab_letters() == [1, -1, 2, -2]
 
     def test_contains(self):
         assert A1.contains(3) and A1.contains(-3)
