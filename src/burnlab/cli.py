@@ -11,7 +11,8 @@ Evaluation is sequential: --workers is accepted for compatibility and has no
 effect (a thread pool was measured slower, the work being pure Python under
 the GIL).
 
-Exit codes: 0 success, 1 invariant violation, 2 input or state error.
+Exit codes: 0 success, 1 invariant violation, 2 input or state error, 3
+internal error (any other exception, reported in one line, no traceback).
 """
 
 from __future__ import annotations
@@ -491,6 +492,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, StateError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        print("internal error: %s: %s" % (type(exc).__name__, " ".join(str(exc).split())),
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: InputError and StateError exit 2,
-InvariantViolation exits 1.
+InvariantViolation exits 1.  Any other exception, a bare BurnlabError
+included, is an internal error: it exits 3 with one line naming its type.
 """
 
 

@@ -296,7 +296,10 @@ class RelatorSystem:
         extra letters, and is not also an overlap move (T does not start with
         `right`).  Over the room, the insertion must cancel at least
         ceil((|T| - room) / 2) letters of its left neighbours `before`, so T
-        must end with the last min(2, |before|, that many) of them."""
+        must end with the last min(2, |before|, that many) of them.  Only
+        rotation 0 of the cyclic search asks for these: past it, a move whose
+        outer ends trim is a repeat and is not built, so the insertions that
+        remain are the untrimmed ones of `RankOracle._linear_inserts`."""
         key = (room, before, right)
         hit = self._insertion_candidates.get(key)
         if hit is None:
@@ -486,22 +489,27 @@ class RankOracle:
         self.system = system
         self._components: dict[tuple, _Component] = {}
         # (room, left, right) -> records of the contexts T with T[0] != right,
-        # T[-1] != left and |T| <= room, as `_linear_successors` inserts them
+        # T[-1] != left and |T| <= room: the insertions that neither overlap
+        # nor cancel, as `_linear_successors` and, past rotation 0,
+        # `_cyclic_successors` build them
         self._linear_inserts: dict[tuple, tuple[tuple, ...]] = {}
+        # (room, v[0], v[-1], v[1]) -> the overlap records `_cyclic_successors`
+        # tries past rotation 0
+        self._cyclic_overlaps: dict[tuple, tuple[tuple, ...]] = {}
 
     # successor generation -------------------------------------------------
     #
     # Both generators return a list of (succ, move) in a fixed enumeration
     # order, for the moves whose result is within the cap and not a repeat of
-    # an earlier overlap of the same context at the same place (nor, in the
-    # linear search, of a move one place left; see below).  The closure
-    # charges a move only when its word is new, so the generators must reach
-    # each new word first by the same move as the full enumeration.  The moves
-    # of one context T matching the word on l letters there, ov = 1..l and
-    # the insertion ov = 0, all give (T[l:])^-1 followed by the rest of the
-    # word, so only ov = 1 is built.  The loops unpack the context records
-    # (ci, T, T^-1, |T|) that `RelatorSystem.by_first` and the insertion
-    # memos hand out.
+    # an earlier overlap of the same context at the same place, nor of a
+    # move one place left (one rotation back in the cyclic search; see
+    # below).  The closure charges a move only when its word is new, so the
+    # generators must reach each new word first by the same move as the full
+    # enumeration.  The moves of one context T matching the word on l letters
+    # there, ov = 1..l and the insertion ov = 0, all give (T[l:])^-1 followed
+    # by the rest of the word, so only ov = 1 is built.  The loops unpack the
+    # context records (ci, T, T^-1, |T|) that `RelatorSystem.by_first`, the
+    # insertion memos and the overlap index hand out.
     #
     # A move's result has |w| + |T| - 2l - 2j letters, j being the letters
     # that cancel where the inserted piece meets the word: j <= jmax, and the
@@ -510,12 +518,27 @@ class RankOracle:
     # move at p-1 with the context T[-1] T[:-1]: w[:p] T^-1 w[p:] =
     # w[:p-1] T[:-1]^-1 w[p:] = w[:p-1] (T[-1] T[:-1])^-1 w[p-1:].  So each
     # chain of repeats has one member with j == 0, its leftmost, and the
-    # linear generator builds only those.  A cyclic overlap of v with T
-    # first tests whether it can fit: with k = ceil((|v| + |T| - 2l - cap)
-    # / 2) > 0, a core within the cap needs j >= min(k, jmax),
-    # jmax = min(|T|, |v|) - l, so v and T must end in the same min(k, jmax)
-    # letters; the last letter is compared first, and `_cyclic_splice` runs
-    # only when they agree.
+    # linear generator builds only those.
+    #
+    # The cyclic search has the same rule across rotations.  At rotation
+    # start >= 1, a move on v = w[start:] + w[:start] whose outer ends trim
+    # (v[-1] == T[-1], j >= 1) gives the cyclic word T[l:]^-1 v[l:] of the
+    # overlap move (start - 1, T[-1] T[:-1], 1) on v[-1] v[:-1], which the
+    # same expansion builds earlier; rotation 0 keeps every move, its twins
+    # being at rotation n - 1, later.  So past rotation 0 only moves with
+    # v[-1] != T[-1] are built, and nothing trims at the outer ends:
+    # - an insertion fits exactly when |T| <= room = cap - |w|, and the
+    #   records that do are the linear generator's, memoised in
+    #   `_linear_inserts` under (room, v[-1], v[0]);
+    # - an overlap first tests whether it can fit: with
+    #   k = ceil((|v| + |T| - 2l - cap) / 2) > 0, a core within the cap needs
+    #   j >= min(k, jmax), jmax = min(|T|, |v|) - l, so v and T must end in
+    #   the same min(k, jmax) letters, and `_cyclic_splice` runs only when
+    #   they agree.  Past rotation 0 that rules out any overlap with k > 0
+    #   and jmax > 0: a context with |T| - 2 > room must match two letters
+    #   or more.  `_cyclic_overlaps` keeps, per (room, v[0], v[-1], v[1]),
+    #   the records of `by_first[v[0]]` with T[-1] != v[-1] and either
+    #   |T| - 2 <= room or T[1] == v[1], in ascending index order.
 
     def _linear_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
         """At each position p: the overlap moves (p, ci, ov), ov = 1..l, of
@@ -528,7 +551,6 @@ class RankOracle:
         context matches (l == |T|) do the two ends of w cancel further."""
         sys_ = self.system
         by_first = sys_.by_first
-        records = sys_._records
         memo = self._linear_inserts
         n = len(w)
         room = cap - n
@@ -555,29 +577,53 @@ class RankOracle:
                 out.append((succ, (p, ci, 1)))
             inserts = memo.get((room, left, right))
             if inserts is None:
-                inserts = memo[room, left, right] = tuple(
-                    r for r in records if r[3] <= room and r[1][0] != right and r[1][-1] != left)
+                inserts = self._plain_inserts(room, left, right)
             head, tail = w[:p], w[p:]
             for ci, _, T_inv, _ in inserts:
                 out.append((head + T_inv + tail, (p, ci, 0)))
             left = right
         return out
 
+    def _plain_inserts(self, room: int, left: int, right: int) -> tuple[tuple, ...]:
+        """Fill and return `_linear_inserts[room, left, right]`."""
+        hit = self._linear_inserts[room, left, right] = tuple(
+            r for r in self.system._records
+            if r[3] <= room and r[1][0] != right and r[1][-1] != left)
+        return hit
+
     def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
         """For each rotation v = w[start:] + w[:start]: the overlap moves
         (start, ci, ov), ov = 1..l, of every context matching v on l letters,
         then the insertions (start, ci, 0) whose core is within the cap.
-        Results are canonical rotations of cyclic cores."""
+        Results are canonical rotations of cyclic cores.  Past rotation 0 a
+        move whose outer ends trim (v[-1] == T[-1]) repeats the overlap move
+        at start - 1 with T rotated by one, so only moves with
+        v[-1] != T[-1] are built there: the insertions are those of the
+        shared `_linear_inserts` memo, each core T^-1 v whole, and the
+        overlaps those of the `_cyclic_overlaps` index.  Rotation 0 builds
+        every move, its insertions from `insertion_candidates`."""
         sys_ = self.system
         by_first = sys_.by_first
         memo = sys_._insertion_candidates
+        overlaps_memo = self._cyclic_overlaps
+        inserts_memo = self._linear_inserts
         n = len(w)
         room = cap - n
         out = []
         for start in range(max(1, n)):
             v = w[start:] + w[:start]
-            right = v[0] if n else 0
-            for ci, T, T_inv, L in by_first.get(right, ()):
+            if start:
+                first, second, last = v[0], v[1], v[-1]
+                key = (room, first, last, second)
+                overlaps = overlaps_memo.get(key)
+                if overlaps is None:
+                    overlaps = overlaps_memo[key] = tuple(
+                        r for r in by_first.get(first, ())
+                        if r[1][-1] != last and (r[3] - 2 <= room or r[1][1] == second))
+            else:
+                first = v[0] if n else 0
+                overlaps = by_first.get(first, ())
+            for ci, T, T_inv, L in overlaps:
                 lmax = L if L < n else n
                 l = 1
                 while l < lmax and T[l] == v[l]:
@@ -591,11 +637,19 @@ class RankOracle:
                 core = _cyclic_splice(v, T, T_inv, l, cap)
                 if core is not None:
                     out.append((core, (start, ci, 1)))
+            if start:
+                # neither end trims, so T^-1 v is the whole core
+                inserts = inserts_memo.get((room, last, first))
+                if inserts is None:
+                    inserts = self._plain_inserts(room, last, first)
+                for ci, _, T_inv, _ in inserts:
+                    out.append((min_rotation(T_inv + v), (start, ci, 0)))
+                continue
             # v wraps around, so no boundary stops the trimming
             before = v[-2:]
-            inserts = memo.get((room, before, right))
+            inserts = memo.get((room, before, first))
             if inserts is None:
-                inserts = sys_.insertion_candidates(room, before, right)
+                inserts = sys_.insertion_candidates(room, before, first)
             for ci, T, T_inv, _ in inserts:
                 core = _cyclic_splice(v, T, T_inv, 0, cap)
                 if core is not None:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from burnlab import cli
+from burnlab.errors import BurnlabError
 from burnlab.oracle import OracleBudget
 from burnlab.presentation import GradedPresentation
 
@@ -75,6 +76,25 @@ class TestBuild:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "m exceeds MAX_ALPHABET_M = 1000000" in err
+
+
+class TestExitCodes:
+    """Exceptions outside the input, state and invariant taxonomy exit 3 with
+    one line naming their type, never a traceback or the invariant code 1."""
+
+    @pytest.mark.parametrize("exc, line", [
+        (RuntimeError("boom\nsecond line"), "internal error: RuntimeError: boom second line\n"),
+        (BurnlabError("cyclic trace assembly mismatch"),
+         "internal error: BurnlabError: cyclic trace assembly mismatch\n"),
+    ])
+    def test_other_exceptions_exit_3_in_one_line(self, tmp_path, monkeypatch, capsys,
+                                                 exc, line):
+        def fail(cfg, args):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_build", fail)
+        rc = cli.main(["build", "--max-rank", "0", "--out-dir", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == line
 
 
 class TestGrowth:

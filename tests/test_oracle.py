@@ -468,13 +468,17 @@ class TestSuccessorGenerators:
         # the two ad-hoc relators have subwords that are not cyclically reduced
         # (a.b.A), so a core whose inserted piece trims away keeps shrinking;
         # in the cube such a subword is long enough to start over the cap.
-        # The last system has no relators: every component is its start.
+        # The mixed system has relators of lengths 1, 3 and 8, so one room
+        # holds some whole contexts and not others.  The last system has no
+        # relators: every component is its start.
         return [p_k3_m1_r1.relator_system(1), p_k3_m1_r2.relator_system(2),
                 RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 2)]),
                 RelatorSystem(A1, [Relator("r", (1, 2, -1, 3) * 3)]),
+                RelatorSystem(A1, [Relator("x", (1,)), Relator("y", (3, 3, 3)),
+                                   Relator("r", (1, 2, -1, 3) * 2)]),
                 RelatorSystem(A1, [])]
 
-    @given(seq=raw_m1, which=st.integers(0, 4), cyclic=st.booleans(),
+    @given(seq=raw_m1, which=st.integers(0, 5), cyclic=st.booleans(),
            slack=st.integers(0, 5), stop=st.booleans(),
            max_applications=st.sampled_from([1, 7, 100, 2500, 50_000]))
     # a whole relator inside the word: deleting it leaves a.A to cancel
@@ -504,7 +508,7 @@ class TestSuccessorGenerators:
         if comp.complete:
             assert comp.applications == comp.states - 1
 
-    @given(seq=raw_m1, which=st.integers(0, 3), cyclic=st.booleans(),
+    @given(seq=raw_m1, which=st.integers(0, 4), cyclic=st.booleans(),
            slack=st.integers(0, 5))
     # the context b.A.s1.a.b.A.s1.a matches all of the word b; the rest of
     # it, inverted to A.S1.a.B.A.S1.a, still trims to a 5-letter core
@@ -514,6 +518,11 @@ class TestSuccessorGenerators:
     # a.B.A.S1.a.B.A is 2 over the cap, and only its own ends trim it to a
     # 5-letter core
     @example(seq=[1, 2, -1, 3, 3], which=3, cyclic=True, slack=0)
+    # at rotation 1, v = a.b.b.a: the context a.b.A.s1.a.b.A.s1, whose 8
+    # letters are 6 over the room 4 once one is matched, matches exactly a.b;
+    # its rest inverted, S1.a.B.A.S1.a, then b.a, with no trim, is a new
+    # 8-letter core at the cap, first reached by this move
+    @example(seq=[1, 1, 2, 2], which=2, cyclic=True, slack=4)
     @settings(max_examples=150, deadline=None)
     def test_yields_are_reference_moves_in_cap(self, systems, seq, which, cyclic, slack):
         system = systems[which]
@@ -542,7 +551,7 @@ class TestSuccessorGenerators:
             return list(first.items())
         assert firsts(yields) == firsts(reference)
 
-    @given(seq=raw_m1, which=st.integers(0, 3))
+    @given(seq=raw_m1, which=st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
     def test_left_seam_move_repeats_rotated_move_one_place_left(self, systems, seq, which):
         # w[:p] T^-1 w[p:] == w[:p-1] (T[-1] T[:-1])^-1 w[p-1:] when
@@ -555,6 +564,23 @@ class TestSuccessorGenerators:
             T = system.contexts[ci].letters
             if p and w[p - 1] == T[-1]:
                 assert succ == words[p - 1, index[T[-1:] + T[:-1]], 1]
+
+    @given(seq=raw_m1, which=st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_trimming_move_repeats_rotated_move_one_rotation_back(self, systems, seq, which):
+        # T^-1 v and (T[-1] T[:-1])^-1 v[-1] v[:-1] are one cyclic word when
+        # v[-1] == T[-1]: past rotation 0 the cyclic generator builds no such
+        # move.  The cap holds every core, so each comes back canonical.
+        system = systems[which]
+        core, _ = cyclic_reduce_letters(Word(seq).letters)
+        w = min_rotation(core)
+        cap = len(w) + system.max_relator_len
+        index = {c.letters: ci for ci, c in enumerate(system.contexts)}
+        words = {move: succ for succ, move in reference_cyclic_moves(system, w, cap)}
+        for (start, ci, _), succ in words.items():
+            T = system.contexts[ci].letters
+            if start and w[start - 1] == T[-1]:
+                assert succ == words[start - 1, index[T[-1:] + T[:-1]], 1]
 
 
 class TestConjugators:
