@@ -34,10 +34,13 @@ order in which words are first reached, so a move that cannot reach a new
 word may be skipped unbuilt: a move over the length cap (a successor's reduced
 length follows from the overlap and the seam cancellations), every overlap of
 one context at one position after the first (they all give the same word),
-and a linear move whose inserted piece cancels against the letter on its
+a linear move whose inserted piece cancels against the letter on its
 left, which repeats the earlier move one place left with the context rotated
 by one: when w[p-1] == T[-1], w[:p] T^-1 w[p:] = w[:p-1] T[:-1]^-1 w[p:]
-= w[:p-1] (T[-1] T[:-1])^-1 w[p-1:].
+= w[:p-1] (T[-1] T[:-1])^-1 w[p-1:], and, when the room cap - |w| is below
+the shortest relator, every insertion that rule (or, past rotation 0 of the
+cyclic search, its cyclic twin) keeps: it cancels no letter, so it adds |T|
+letters and ends over the cap.
 """
 
 from __future__ import annotations
@@ -266,6 +269,7 @@ class RelatorSystem:
             by_first.setdefault(rec[1][0], []).append(rec)
         self.by_first = {k: tuple(v) for k, v in by_first.items()}
         self.max_relator_len = max((len(r.word) for r in self.relators), default=0)
+        self.min_relator_len = min((len(r.word) for r in self.relators), default=0)
         self._insertion_candidates: dict[tuple, tuple[tuple, ...]] = {}
         self.lattice = IntegerLattice(
             [exponent_vector(r.word, alphabet.size) for r in self.relators], alphabet.size
@@ -518,7 +522,9 @@ class RankOracle:
     # move at p-1 with the context T[-1] T[:-1]: w[:p] T^-1 w[p:] =
     # w[:p-1] T[:-1]^-1 w[p:] = w[:p-1] (T[-1] T[:-1])^-1 w[p-1:].  So each
     # chain of repeats has one member with j == 0, its leftmost, and the
-    # linear generator builds only those.
+    # linear generator builds only those.  An insertion among them cancels
+    # nothing and adds |T| letters, so below room = min |T| none fits and
+    # the generator scans for none.
     #
     # The cyclic search has the same rule across rotations.  At rotation
     # start >= 1, a move on v = w[start:] + w[:start] whose outer ends trim
@@ -527,9 +533,9 @@ class RankOracle:
     # same expansion builds earlier; rotation 0 keeps every move, its twins
     # being at rotation n - 1, later.  So past rotation 0 only moves with
     # v[-1] != T[-1] are built, and nothing trims at the outer ends:
-    # - an insertion fits exactly when |T| <= room = cap - |w|, and the
-    #   records that do are the linear generator's, memoised in
-    #   `_linear_inserts` under (room, v[-1], v[0]);
+    # - an insertion fits exactly when |T| <= room = cap - |w|, so none does
+    #   below room = min |T|, and the records that do are the linear
+    #   generator's, memoised in `_linear_inserts` under (room, v[-1], v[0]);
     # - an overlap first tests whether it can fit: with
     #   k = ceil((|v| + |T| - 2l - cap) / 2) > 0, a core within the cap needs
     #   j >= min(k, jmax), jmax = min(|T|, |v|) - l, so v and T must end in
@@ -548,17 +554,18 @@ class RankOracle:
         move whose left seam cancels (w[p-1] == T[-1]) repeats the move at
         p-1 with T rotated by one, so only moves with w[p-1] != T[-1] are
         built: their word has |w| + |T| - 2l letters, and only when the whole
-        context matches (l == |T|) do the two ends of w cancel further."""
+        context matches (l == |T|) do the two ends of w cancel further.
+        Insertions are looked up only when room >= min |T|."""
         sys_ = self.system
         by_first = sys_.by_first
         memo = self._linear_inserts
         n = len(w)
         room = cap - n
+        fits = room >= sys_.min_relator_len
         out = []
         left = 0  # w[p - 1], or 0 at the start
-        for p in range(n + 1):
+        for p, right in enumerate(w):
             rest = n - p
-            right = w[p] if rest else 0
             for ci, T, T_inv, L in by_first.get(right, ()):
                 lmax = L if L < rest else rest
                 l = 1
@@ -575,13 +582,21 @@ class RankOracle:
                         b += 1
                     succ = w[:a] + w[b:]
                 out.append((succ, (p, ci, 1)))
-            inserts = memo.get((room, left, right))
-            if inserts is None:
-                inserts = self._plain_inserts(room, left, right)
-            head, tail = w[:p], w[p:]
-            for ci, _, T_inv, _ in inserts:
-                out.append((head + T_inv + tail, (p, ci, 0)))
+            if fits:
+                inserts = memo.get((room, left, right))
+                if inserts is None:
+                    inserts = self._plain_inserts(room, left, right)
+                if inserts:
+                    head, tail = w[:p], w[p:]
+                    for ci, _, T_inv, _ in inserts:
+                        out.append((head + T_inv + tail, (p, ci, 0)))
             left = right
+        if fits:  # p = n: no letter to overlap, insertions only
+            inserts = memo.get((room, left, 0))
+            if inserts is None:
+                inserts = self._plain_inserts(room, left, 0)
+            for ci, _, T_inv, _ in inserts:
+                out.append((w + T_inv, (n, ci, 0)))
         return out
 
     def _plain_inserts(self, room: int, left: int, right: int) -> tuple[tuple, ...]:
@@ -600,8 +615,9 @@ class RankOracle:
         at start - 1 with T rotated by one, so only moves with
         v[-1] != T[-1] are built there: the insertions are those of the
         shared `_linear_inserts` memo, each core T^-1 v whole, and the
-        overlaps those of the `_cyclic_overlaps` index.  Rotation 0 builds
-        every move, its insertions from `insertion_candidates`."""
+        overlaps those of the `_cyclic_overlaps` index, and insertions are
+        looked up only when room >= min |T|.  Rotation 0 builds every move,
+        its insertions from `insertion_candidates`."""
         sys_ = self.system
         by_first = sys_.by_first
         memo = sys_._insertion_candidates
@@ -609,6 +625,7 @@ class RankOracle:
         inserts_memo = self._linear_inserts
         n = len(w)
         room = cap - n
+        fits = room >= sys_.min_relator_len
         out = []
         for start in range(max(1, n)):
             v = w[start:] + w[:start]
@@ -639,11 +656,12 @@ class RankOracle:
                     out.append((core, (start, ci, 1)))
             if start:
                 # neither end trims, so T^-1 v is the whole core
-                inserts = inserts_memo.get((room, last, first))
-                if inserts is None:
-                    inserts = self._plain_inserts(room, last, first)
-                for ci, _, T_inv, _ in inserts:
-                    out.append((min_rotation(T_inv + v), (start, ci, 0)))
+                if fits:
+                    inserts = inserts_memo.get((room, last, first))
+                    if inserts is None:
+                        inserts = self._plain_inserts(room, last, first)
+                    for ci, _, T_inv, _ in inserts:
+                        out.append((min_rotation(T_inv + v), (start, ci, 0)))
                 continue
             # v wraps around, so no boundary stops the trimming
             before = v[-2:]
@@ -679,29 +697,33 @@ class RankOracle:
             return hit
 
         comp = _Component(start, cap, cyclic)
+        parents = comp.parents
         successors = self._cyclic_successors if cyclic else self._linear_successors
         max_applications = budget.max_relator_applications
+        applications, complete, min_word = 0, True, start
         min_key = shortlex_key(start)
         heap = [(min_key, start)]
-        while heap and comp.complete:
-            _, w = heapq.heappop(heap)
+        heappush, heappop = heapq.heappush, heapq.heappop
+        while heap and complete:
+            _, w = heappop(heap)
             for succ, move in successors(w, cap):
-                if succ in comp.parents:
+                if succ in parents:
                     continue
-                comp.applications += 1
-                if comp.applications > max_applications:
-                    comp.complete = False
+                applications += 1
+                if applications > max_applications:
+                    complete = False
                     break
-                comp.parents[succ] = (w, move)
-                comp.states += 1
+                parents[succ] = (w, move)
                 key = shortlex_key(succ)
                 if key < min_key:
-                    comp.min_word, min_key = succ, key
-                heapq.heappush(heap, (key, succ))
+                    min_word, min_key = succ, key
+                heappush(heap, (key, succ))
                 if stop is not None and stop(succ):
-                    comp.complete = False
+                    complete = False
                     break
-        if comp.complete:
+        comp.applications, comp.complete, comp.min_word = applications, complete, min_word
+        comp.states = len(parents)
+        if complete:
             self._components[memo_key] = comp
         return comp
 

@@ -6,7 +6,7 @@ import heapq
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from burnlab.errors import InputError
@@ -488,6 +488,12 @@ class TestSuccessorGenerators:
     # must find no move in the cap, as the reference's margin shortcut says
     @example(seq=[1, 2, -1, -2], which=0, cyclic=False, slack=2, stop=False,
              max_applications=50_000)
+    # rank 2 has relators of lengths 3 and 6: at slack 2 no insertion fits,
+    # at slack 3 those of s1^3 do, in both searches
+    @example(seq=[1, 2], which=1, cyclic=False, slack=2, stop=False, max_applications=50_000)
+    @example(seq=[1, 2], which=1, cyclic=False, slack=3, stop=False, max_applications=50_000)
+    @example(seq=[1, 2], which=1, cyclic=True, slack=2, stop=False, max_applications=50_000)
+    @example(seq=[1, 2], which=1, cyclic=True, slack=3, stop=False, max_applications=50_000)
     @settings(max_examples=150, deadline=None)
     def test_closure_matches_reference(self, systems, seq, which, cyclic, slack,
                                        stop, max_applications):
@@ -508,7 +514,7 @@ class TestSuccessorGenerators:
         if comp.complete:
             assert comp.applications == comp.states - 1
 
-    @given(seq=raw_m1, which=st.integers(0, 4), cyclic=st.booleans(),
+    @given(seq=raw_m1, which=st.integers(0, 5), cyclic=st.booleans(),
            slack=st.integers(0, 5))
     # the context b.A.s1.a.b.A.s1.a matches all of the word b; the rest of
     # it, inverted to A.S1.a.B.A.S1.a, still trims to a 5-letter core
@@ -523,6 +529,12 @@ class TestSuccessorGenerators:
     # its rest inverted, S1.a.B.A.S1.a, then b.a, with no trim, is a new
     # 8-letter core at the cap, first reached by this move
     @example(seq=[1, 1, 2, 2], which=2, cyclic=True, slack=4)
+    # one letter below and at the shortest rank-2 relator, s1^3: the room
+    # first holds an insertion at slack 3
+    @example(seq=[1, 2], which=1, cyclic=False, slack=2)
+    @example(seq=[1, 2], which=1, cyclic=False, slack=3)
+    @example(seq=[1, 2], which=1, cyclic=True, slack=2)
+    @example(seq=[1, 2], which=1, cyclic=True, slack=3)
     @settings(max_examples=150, deadline=None)
     def test_yields_are_reference_moves_in_cap(self, systems, seq, which, cyclic, slack):
         system = systems[which]
@@ -550,6 +562,24 @@ class TestSuccessorGenerators:
                     first.setdefault(succ, move)
             return list(first.items())
         assert firsts(yields) == firsts(reference)
+
+    @given(seq=raw_m1, which=st.integers(0, 5), cyclic=st.booleans(),
+           room=st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_no_insertion_below_the_shortest_relator(self, systems, seq, which, cyclic, room):
+        # an insertion the repeat rules keep (past rotation 0 in the cyclic
+        # search) cancels nothing and adds |T| letters, so below
+        # room = min |T| the generators yield none
+        system = systems[which]
+        assume(room < system.min_relator_len)
+        w = Word(seq).letters
+        if cyclic:
+            core, _ = cyclic_reduce_letters(w)
+            w = min_rotation(core)
+            yields = RankOracle(system)._cyclic_successors(w, len(w) + room)
+        else:
+            yields = RankOracle(system)._linear_successors(w, len(w) + room)
+        assert not [move for _, move in yields if move[2] == 0 and (move[0] or not cyclic)]
 
     @given(seq=raw_m1, which=st.integers(0, 4))
     @settings(max_examples=150, deadline=None)
