@@ -883,11 +883,6 @@ class RankOracle:
         cu = cyclic_rep(_letters(u))
         return self._closure(cu, len(cu) + budget.max_ball_radius, budget, True, stop)
 
-    def cyclic_canonical(self, u: Sequence[int] | Word,
-                         budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
-        comp = self.cyclic_component(u, budget)
-        return comp.min_word, comp.complete
-
     def conjugate(self, u: Sequence[int] | Word, v: Sequence[int] | Word,
                   budget: Optional[OracleBudget] = None) -> Verdict:
         budget = self._budget(budget)

@@ -11,6 +11,10 @@ length i+1 that the rank-i oracle certifies to be
   * not conjugate to an already admitted period or
     its inverse                                      (reason "conjugate-duplicate").
 
+The first two come from one cyclic search per candidate: the first word it
+reaches that is over {a,b} or a period power names the reason.  The build and
+its audit read cyclic components from the oracle, never a verdict query.
+
 Certification happens within the oracle budget; candidates the budget cannot
 decide are left out and the rank is flagged approximate.  Free proper powers
 are filtered syntactically before any oracle work ("free-power").
@@ -352,14 +356,16 @@ class GradedPresentation:
                   budget: Optional[OracleBudget] = None) -> SimplicityVerdict:
         """Tri-state simplicity of `word` relative to the rank-`rank` oracle.
 
-        The no-side certificates come from the cyclic component of the word
-        within the budget's length cap, searched until its first power of a
-        period of ranks 1..rank; a word that reaches none is simple only when
-        its whole component is exhausted.  Pairs that only meet beyond that
-        horizon would be unknown at this budget by construction, which is the
-        sense in which an approximate build is approximate.
+        One search decides: the cyclic component of the word within the
+        budget's length cap, run until the first word it adds that is over
+        {a, b} ("in-ab", detailed by the least such member, as
+        `RankOracle.conjugate_into_ab` names it) or a power of a period of
+        ranks 1..rank ("period-power").  A word reaching neither is rejected
+        for a shorter or proper-power member, else simple only when its whole
+        component is exhausted.  Pairs that only meet beyond that horizon
+        would be unknown at this budget by construction, which is the sense
+        in which an approximate build is approximate.
         """
-        oracle = self.oracle(rank)
         w = cyclic_rep(word.letters)
         if not w:
             return SimplicityVerdict("not-simple", "shorter-or-power", "freely trivial")
@@ -370,20 +376,18 @@ class GradedPresentation:
             return SimplicityVerdict("not-simple", "in-ab",
                                      "cyclic core lies in the {a,b} subgroup")
 
-        in_ab = oracle.conjugate_into_ab(Word(w), budget)
-        if in_ab.is_yes:
-            return SimplicityVerdict("not-simple", "in-ab",
-                                     "conjugate to %s" % in_ab.witness["target"])
-        s3_open = in_ab.is_unknown
-
         powers = self._period_power_reps(rank)
-        comp = oracle.cyclic_component(w, budget, stop=powers.__contains__)
-
-        # explicit period powers first: crisper reasons than the generic scan
-        for rep, (j, t) in powers.items():
-            if rep in comp.parents:
-                detail = "conjugate to x%d power %d (%s)" % (j, t, Word(rep).format())
-                return SimplicityVerdict("not-simple", "period-power", detail)
+        rejecting = lambda u: u in powers or is_ab_word(u)
+        comp = self.oracle(rank).cyclic_component(w, budget, stop=rejecting)
+        # insertion order: a memoized complete component extends the stopped run
+        first = next((u for u in comp.parents if rejecting(u)), None)
+        if first in powers:
+            detail = "conjugate to x%d power %d (%s)" % (*powers[first], Word(first).format())
+            return SimplicityVerdict("not-simple", "period-power", detail)
+        if first is not None:
+            least = min((u for u in comp.parents if is_ab_word(u)), key=shortlex_key)
+            return SimplicityVerdict("not-simple", "in-ab",
+                                     "conjugate to %s" % Word(least).format())
 
         for member in comp.parents:
             if len(member) < len(w):
@@ -398,7 +402,7 @@ class GradedPresentation:
                     "conjugate to %s^%d" % (Word(base).format(), len(member) // len(base)),
                 )
 
-        if s3_open or not comp.complete:
+        if not comp.complete:
             return SimplicityVerdict("unknown", "budget",
                                      "cyclic component not exhausted at cap %d" % comp.cap)
         return SimplicityVerdict("simple")
@@ -406,16 +410,17 @@ class GradedPresentation:
     def _conjugacy_test(self, p: tuple[int, ...], rank: int,
                         budget: Optional[OracleBudget]) -> Callable[[tuple[int, ...]], str]:
         """Status of "p is conjugate to q at rank `rank`" as a function of
-        cyclic_rep(q), for |q| = |p|: "yes" when it is a member of p's cyclic
-        component (for a simple p, the one `is_simple` memoized), "no" when
-        that component is complete, else `RankOracle.conjugate`'s status.  The
-        component decides as that query would: the query's search to q is a
-        prefix of the same shortlex run within the same cap, and a nonzero
-        exponent residue keeps q out of the component."""
-        oracle = self.oracle(rank)
-        comp = oracle.cyclic_component(p, budget)
+        cyclic_rep(q), for |q| = |p|, from p's cyclic component (for a simple p,
+        the one `is_simple` memoized): "yes" for a member, "no" when it is
+        complete or p and q differ modulo the relator lattice, else "unknown".
+        That is `RankOracle.conjugate`'s status: its search is the same run
+        within the same cap, stopped at q."""
+        comp = self.oracle(rank).cyclic_component(p, budget)
+        system = self.relator_system(rank)
+        residue = system.lattice.reduce(system.expvec(p))
         return lambda q_rep: ("yes" if q_rep in comp.parents else "no" if comp.complete
-                              else oracle.conjugate(p, q_rep, budget).status)
+                              or system.lattice.reduce(system.expvec(q_rep)) != residue
+                              else "unknown")
 
     # building --------------------------------------------------------------
 

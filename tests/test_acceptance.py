@@ -53,8 +53,8 @@ def test_free_oracle_matches_reduction_oracles(free_m1, budget):
         canon, complete = oracle.canonical(t, budget)
         assert complete and canon == t
         core, _ = cyclic_reduce_letters(t)
-        cyc, complete = oracle.cyclic_canonical(t, budget=budget)
-        assert complete and cyc == min_rotation(core)
+        comp = oracle.cyclic_component(t, budget)
+        assert comp.complete and comp.min_word == min_rotation(core)
 
     # spot-check the pair API itself: all pairs to length 2, sampled to 6
     short = [t for t in words if len(t) <= 2]

@@ -200,9 +200,9 @@ class TestRelatorVerdicts:
         assert nb.witness is not None
 
     def test_canonical_merges_conjugates_cyclically(self, o1, budget):
-        a = o1.cyclic_canonical(Word.parse("a.s1.A"), budget=budget)
-        b = o1.cyclic_canonical(Word.parse("s1"), budget=budget)
-        assert a == b and a[1] is True
+        a = o1.cyclic_component(Word.parse("a.s1.A"), budget)
+        b = o1.cyclic_component(Word.parse("s1"), budget)
+        assert a.min_word == b.min_word and a.complete and b.complete
 
     def test_conjugate_yes_on_rotation(self, o1, budget):
         v = o1.conjugate(Word.parse("a.s1"), Word.parse("s1.a"), budget)
@@ -451,7 +451,7 @@ class TestMemo:
         warm = RankOracle(system)
         for u in words:
             warm.canonical(u, budget)
-            warm.cyclic_canonical(u, budget)
+            warm.cyclic_component(u, budget)
             warm.norm(u, budget)
         for u in words:
             cold = claims(RankOracle(system), u)

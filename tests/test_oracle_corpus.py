@@ -1,7 +1,8 @@
 """Recorded oracle verdicts, replayed byte for byte.
 
 Every `equal`, `conjugate` and `conjugate_into_ab` verdict (`Verdict.to_json`)
-and every `norm`, `canonical` and `cyclic_canonical` result on the k=3, m=1
+and every `norm`, `canonical` and cyclic canonical result (`cyclic_component`'s
+`min_word` and `complete`, labelled `cyclic_canonical`) on the k=3, m=1
 presentation at ranks 0-2, at a tiny and at the default budget, for the
 radius-2 ball (paired with the radius-1 ball) plus hand-picked queries.
 Each line is [rank, budget, op, args, result].  The queries run in a fixed
@@ -68,8 +69,10 @@ def corpus_lines():
                     {"lower": nb.lower, "upper": nb.upper, "exact": nb.exact,
                      "witness": nb.witness, "budget_used": _budget_use(nb.budget_used)},
                     sort_keys=True))
-                for op in ("canonical", "cyclic_canonical"):
-                    word, complete = getattr(oracle, op)(u, budget=budget)
+                canon = oracle.canonical(u, budget)
+                comp = oracle.cyclic_component(u, budget)
+                for op, (word, complete) in (("canonical", canon),
+                                             ("cyclic_canonical", (comp.min_word, comp.complete))):
                     yield line(op, (u,), json.dumps(
                         {"word": format_letters(word), "complete": complete}, sort_keys=True))
 

@@ -2,13 +2,19 @@
 parameter gate, structure auditing, and the JSON codec."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnlab.errors import InputError
-from burnlab.oracle import OracleBudget, RankOracle
+from burnlab.oracle import (
+    OracleBudget,
+    RankOracle,
+    verify_conjugacy_witness,
+    verify_into_ab_witness,
+)
 from burnlab.presentation import (
     GradedPresentation,
     SmallCancellationParams,
@@ -27,31 +33,37 @@ def _root(t):
 
 
 def reference_is_simple(pres, word, rank, budget):
-    """(status, reason) of `is_simple`'s rules applied to the complete cyclic
-    component of the word, searched with no stop rule on a fresh oracle."""
+    """(status, reason, target) of `is_simple`'s rules applied to the cyclic
+    component of the word, searched with no stop rule on a fresh oracle: the
+    first member, in the order the search adds them, that is written over
+    {a, b} or is a period power names the reason (a stopped search is a
+    prefix of that order).  `target` is, for an in-ab rejection that needed
+    the search, the {a, b} word a cold `conjugate_into_ab` query names, for
+    the detail; otherwise None."""
     oracle = RankOracle(pres.relator_system(rank))
     w = cyclic_rep(word.letters)
     if not w:
-        return "not-simple", "shorter-or-power"
+        return "not-simple", "shorter-or-power", None
     if _root(w) != w:
-        return "not-simple", "free-power"
+        return "not-simple", "free-power", None
     if all(is_ab_letter(x) for x in w):
-        return "not-simple", "in-ab"
-    in_ab = oracle.conjugate_into_ab(w, budget)
-    if in_ab.is_yes:
-        return "not-simple", "in-ab"
+        return "not-simple", "in-ab", None
     comp = oracle._closure(w, len(w) + budget.max_ball_radius, budget, cyclic=True)
     powers = {cyclic_rep(p.letters * t) for j in range(1, rank + 1)
               for p in pres.periods(j) for t in range(1, pres.params.k)}
-    if powers & comp.parents.keys():
-        return "not-simple", "period-power"
+    for member in comp.parents:
+        if member in powers:
+            return "not-simple", "period-power", None
+        if all(is_ab_letter(x) for x in member):
+            in_ab = RankOracle(pres.relator_system(rank)).conjugate_into_ab(w, budget)
+            return "not-simple", "in-ab", in_ab.witness["target"]
     for member in comp.parents:
         base = _root(member)
         if len(member) < len(w) or len(base) < len(w) and len(base) < len(member):
-            return "not-simple", "shorter-or-power"
-    if in_ab.is_unknown or not comp.complete:
-        return "unknown", "budget"
-    return "simple", None
+            return "not-simple", "shorter-or-power", None
+    if not comp.complete:
+        return "unknown", "budget", None
+    return "simple", None, None
 
 
 class TestParameterGate:
@@ -175,10 +187,11 @@ class TestSimplicity:
 
 
 class TestEarlyStop:
-    """`is_simple` stops its cyclic search at the first period power it
-    reaches: its verdicts are those of the rules applied to the whole
-    component, a stopped search is not memoized, and a simple candidate's
-    complete component is, for `build_next_rank` to reuse."""
+    """`is_simple` stops its one cyclic search at the first word it reaches
+    that is written over {a, b} or is a period power: its verdicts are those
+    of the rules applied to the whole component with that word named first,
+    a stopped search is not memoized, and a simple candidate's complete
+    component is, for `build_next_rank` to reuse."""
 
     @pytest.fixture(scope="class", params=[(3, 4), (5, 3)], ids=["k3-rank4", "k5-rank3"])
     def ladder(self, request):
@@ -194,8 +207,10 @@ class TestEarlyStop:
         for n in range(1, top + 1):
             for t in canonical_cyclic_candidates(pres.alphabet, n):
                 verdict = pres.is_simple(Word(t), n - 1, budget)
-                assert ((verdict.status, verdict.reason)
-                        == reference_is_simple(pres, Word(t), n - 1, budget)), t
+                status, reason, target = reference_is_simple(pres, Word(t), n - 1, budget)
+                assert (verdict.status, verdict.reason) == (status, reason), t
+                if target is not None:
+                    assert verdict.detail == "conjugate to " + target, t
 
     def test_period_power_rejections_are_not_memoized(self, ladder, budget):
         pres, top = ladder
@@ -231,6 +246,53 @@ class TestEarlyStop:
             assert oracle._components[u, comp.cap, True] is comp
 
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def golden_presentation(name):
+    return GradedPresentation.from_json((GOLDEN / name / "presentation.json").read_text())
+
+
+class TestFirstRejectingWord:
+    """The first word `is_simple`'s search reaches that is over {a, b} or a
+    period power names the reason, and only a complete component is kept."""
+
+    def test_rank6_word_reaches_a_period_power_first(self, budget):
+        # `build --max-rank 5` at k=3; at rank 5, a.a.a.s1.a.S1 is conjugate
+        # both to the rank-5 period a.a.s1.A.S1 and into {a, b} (to aaaa), so
+        # a^12 = 1 there; its search meets the period first
+        pres = golden_presentation("build-rank5-k3")
+        word, period = Word.parse("a.a.a.s1.a.S1"), Word.parse("a.a.s1.A.S1")
+        assert period in pres.periods(5)
+        verdict = pres.is_simple(word, 5, budget)
+        assert (verdict.status, verdict.reason) == ("not-simple", "period-power")
+        assert verdict.detail == "conjugate to x5 power 1 (a.a.s1.A.S1)"
+        oracle = pres.oracle(5)
+        conj = oracle.conjugate(word, period, budget)
+        into_ab = oracle.conjugate_into_ab(word, budget)
+        assert conj.is_yes and into_ab.is_yes and into_ab.witness["target"] == "aaaa"
+        assert verify_conjugacy_witness(oracle.system, word.letters, period.letters,
+                                        conj.witness)
+        assert verify_into_ab_witness(oracle.system, word.letters, into_ab.witness)
+
+    def test_period_power_rejections_leave_no_component(self, budget):
+        # rank-5 candidates whose exponent residue modulo {a, b} is zero: a
+        # separate search into {a, b} would exhaust and keep their components
+        pres = golden_presentation("build-rank4-k3")
+        oracle, system = pres.oracle(4), pres.relator_system(4)
+        checked = 0
+        for t in canonical_cyclic_candidates(pres.alphabet, 5):
+            if any(system.lattice_mod_ab.reduce(system.expvec(t))):
+                continue
+            kept = len(oracle._components)
+            if pres.is_simple(Word(t), 4, budget).reason == "period-power":
+                assert len(oracle._components) == kept, Word(t).format()
+                checked += 1
+                if checked == 5:
+                    break
+        assert checked == 5
+
+
 def reference_p3(pres, budget):
     """Status of every pair P3 asks about, keyed (rank, i1, i2, inverse?),
     and the P3 failures they give, from one `RankOracle.conjugate` query per
@@ -257,23 +319,29 @@ def reference_p3(pres, budget):
 
 
 @pytest.fixture
-def conjugate_calls(monkeypatch):
-    """Count of `RankOracle.conjugate` calls made while the test runs."""
+def verdict_calls(monkeypatch):
+    """(query name, first word) of every `RankOracle.equal`, `conjugate` and
+    `conjugate_into_ab` call made while the test runs."""
     calls = []
-    query = RankOracle.conjugate
 
-    def spy(self, u, v, budget=None):
-        calls.append((u, v))
-        return query(self, u, v, budget)
+    def spy(name):
+        query = getattr(RankOracle, name)
 
-    monkeypatch.setattr(RankOracle, "conjugate", spy)
+        def counted(self, u, *args, **kwargs):
+            calls.append((name, u))
+            return query(self, u, *args, **kwargs)
+        return counted
+
+    for name in ("equal", "conjugate", "conjugate_into_ab"):
+        monkeypatch.setattr(RankOracle, name, spy(name))
     return calls
 
 
 class TestOneConjugacyTest:
     """P3 decides each pair of periods from the earlier period's cyclic
-    component, as `build_next_rank` does; only an incomplete component asks
-    `RankOracle.conjugate`, and every status is the one that query gives."""
+    component, as `build_next_rank` does, and asks `RankOracle.conjugate`
+    nothing: an incomplete component answers from the exponent residue, and
+    every status is the one that query gives."""
 
     @pytest.fixture(scope="class", params=[(1, 3, 3), (1, 5, 4), (2, 5, 2), (2, 3, 2)],
                     ids=["m1-k3-rank3", "m1-k5-rank4", "m2-k5-rank2", "m2-k3-rank2"])
@@ -288,26 +356,41 @@ class TestOneConjugacyTest:
         OracleBudget(max_relator_applications=40),
         OracleBudget(max_ball_radius=1, max_relator_applications=10),
     ], ids=["default", "3-moves", "40-moves", "radius1-10-moves"])
-    def test_statuses_match_pairwise_conjugate(self, built, audit_budget, conjugate_calls):
+    def test_statuses_match_pairwise_conjugate(self, built, audit_budget, verdict_calls):
         expected, expected_failures = reference_p3(built, audit_budget)
         pres = GradedPresentation.from_dict(built.to_dict())
         report = pres.verify_structure(audit_budget)
         assert [f for f in report.failures if f[0] == "P3"] == expected_failures
-        fallbacks = len(conjugate_calls) - len(expected)
+        fallbacks = len(verdict_calls) - len(expected)
         for (j, i1, i2, inverse), status in expected.items():
             p, q = pres.periods(j)[i1], pres.periods(j)[i2]
             q_rep = cyclic_rep((~q if inverse else q).letters)
             assert pres._conjugacy_test(p.letters, j - 1, audit_budget)(q_rep) == status
-        # the periods of a clean build are pairwise non-conjugate, so each
-        # earlier period with an incomplete component asks at least once
+        assert fallbacks == 0
+        # 3 moves leave earlier periods' components incomplete, so the
+        # residue rule answers there (but at m=2, k=5, where every rank-1
+        # component needs at most 3)
         incomplete = [p for j in range(1, pres.max_rank + 1) for p in pres.periods(j)[:-1]
                       if not pres.oracle(j - 1).cyclic_component(p, audit_budget).complete]
-        assert (fallbacks > 0) == bool(incomplete)
+        three = audit_budget.max_relator_applications == 3
+        assert bool(incomplete) == (three and (pres.alphabet.m, pres.params.k) != (2, 5))
 
-    def test_clean_audit_makes_no_conjugate_query(self, conjugate_calls):
+    def test_clean_audit_makes_no_conjugate_query(self, verdict_calls):
         pres, _ = GradedPresentation.build(Alphabet(1), small_k_params(5), 4)
         report = GradedPresentation.from_dict(pres.to_dict()).verify_structure()
-        assert report.ok and conjugate_calls == []
+        assert report.ok and verdict_calls == []
+
+
+@pytest.mark.parametrize("budget", [OracleBudget(), OracleBudget(max_relator_applications=3)],
+                         ids=["default", "3-moves"])
+def test_build_and_audit_ask_no_verdict_query(budget, verdict_calls):
+    """Admission and the structure audit read cyclic components only."""
+    pres, reports = GradedPresentation.build(Alphabet(1), small_k_params(), 4, budget)
+    report = pres.verify_structure(budget)
+    assert verdict_calls == []
+    assert report.ok
+    # the tiny budget leaves candidates undecided, so that path ran too
+    assert any(r.approximate for r in reports) == (budget.max_relator_applications == 3)
 
 
 class TestStructureAudit:
