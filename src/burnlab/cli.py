@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cayley import density_HG, density_rows_to_csv, density_rows_to_json, growth
-from .diagrams import Diagram, check_condition_A, validate_diagram
 from .errors import InputError, InvariantViolation, StateError
 from .oracle import OracleBudget
 from .presentation import GradedPresentation, SmallCancellationParams, read_field
@@ -290,6 +289,9 @@ def _read_expected(path: str) -> dict[str, tuple[bool, Optional[dict]]]:
 
 
 def cmd_diagram_check(cfg: SessionConfig, args: argparse.Namespace) -> int:
+    # imported here, so that no other command pays for the diagram module
+    from .diagrams import Diagram, check_condition_A, validate_diagram
+
     pres = _load_presentation(cfg, args)
     paths: list[Path] = []
     for entry in args.diagrams:

@@ -41,6 +41,15 @@ by one: when w[p-1] == T[-1], w[:p] T^-1 w[p:] = w[:p-1] T[:-1]^-1 w[p:]
 the shortest relator, every insertion that rule (or, past rotation 0 of the
 cyclic search, its cyclic twin) keeps: it cancels no letter, so it adds |T|
 letters and ends over the cap.
+
+The linear search runs on encoded words (`words.encode_letters`, one code
+point per letter), so its members hash, slice and join as strings and
+(len(s), s) is the shortlex order; it finds the overlaps at each position
+through an index on the letter there and the next one, since over a small
+room most contexts must match two letters or more to fit.  Encoded words
+never leave this module: queries take and return letter tuples and `Word`s.
+The cyclic search stays on tuples, because `cyclic_component` hands its
+members to callers and its stop rules receive them.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BurnlabError, InputError
@@ -58,6 +68,8 @@ from .words import (
     Word,
     cyclic_rep,
     cyclic_split_reduced,
+    decode_letters,
+    encode_letters,
     exponent_vector,
     format_letters,
     inverse_letters,
@@ -485,23 +497,41 @@ class RankOracle:
     """Word/conjugacy/norm decisions over one relator system.
 
     Complete rewriting components are memoized in one dict keyed
-    (start, cap, cyclic), so repeated queries against the same presentation
-    snapshot are cheap.  Writes to the memo are idempotent: a complete
+    (start, cap, cyclic), a linear start encoded, so repeated queries
+    against the same presentation snapshot are cheap.  Writes to the memo are idempotent: a complete
     component is a pure function of (start, cap, cyclic)."""
 
     def __init__(self, system: RelatorSystem):
         self.system = system
         self._components: dict[tuple, _Component] = {}
-        # (room, left, right) -> records of the contexts T with T[0] != right,
-        # T[-1] != left and |T| <= room: the insertions that neither overlap
-        # nor cancel, as `_linear_successors` and, past rotation 0,
-        # `_cyclic_successors` build them
+        # room -> w[p] -> w[p+1] ('' at the end) -> the overlap records,
+        # each with the prefix of T it must match, `_linear_successors` tries
+        self._linear_overlaps: dict[int, dict[str, dict[str, tuple[tuple, ...]]]] = {}
+        # (room, left, right) -> `_plain_inserts`, encoded, for
+        # `_linear_successors`; '' stands for no letter
         self._linear_inserts: dict[tuple, tuple[tuple, ...]] = {}
+        # (room, v[-1], v[0]) -> `_plain_inserts` for `_cyclic_successors`
+        # past rotation 0
+        self._cyclic_inserts: dict[tuple, tuple[tuple, ...]] = {}
         # (room, v[0], v[-1], v[1]) -> the overlap records `_cyclic_successors`
         # tries past rotation 0
         self._cyclic_overlaps: dict[tuple, tuple[tuple, ...]] = {}
 
     # successor generation -------------------------------------------------
+
+    @cached_property
+    def _encoded_records(self) -> tuple[tuple, ...]:
+        """The context records with T and T^-1 encoded.  Only linear searches
+        read them, so they are built on first use."""
+        return tuple((ci, encode_letters(T), encode_letters(T_inv), L)
+                     for ci, T, T_inv, L in self.system._records)
+
+    @cached_property
+    def _encoded_by_first(self) -> dict[str, list[tuple]]:
+        by_first: dict[str, list[tuple]] = {}
+        for rec in self._encoded_records:
+            by_first.setdefault(rec[1][0], []).append(rec)
+        return by_first
     #
     # Both generators return a list of (succ, move) in a fixed enumeration
     # order, for the moves whose result is within the cap and not a repeat of
@@ -524,7 +554,24 @@ class RankOracle:
     # chain of repeats has one member with j == 0, its leftmost, and the
     # linear generator builds only those.  An insertion among them cancels
     # nothing and adds |T| letters, so below room = min |T| none fits and
-    # the generator scans for none.
+    # the generator scans for none.  An overlap among them fits exactly when
+    # |T| - 2l <= room, that is when w[p:] starts with the prefix
+    # T[:max(1, ceil((|T| - room) / 2))], so a context with |T| - 2 > room
+    # must match two letters or more: `_linear_overlaps` keeps, per room,
+    # w[p] and w[p+1], the records of w[p]'s contexts with |T| - 2 <= room
+    # or T[1] == w[p+1], in ascending index order, each with its prefix, and
+    # a letter that starts no context costs one lookup.  T[1] is read only
+    # when |T| > 2.
+    #
+    # The linear kernel runs on encoded words (`words.encode_letters`): one
+    # code point per letter, the letter's shortlex key, so (len(s), s) is the
+    # shortlex order and c ^ 1 inverts a letter.  A str hashes once, slices
+    # and joins by memcpy and is not tracked by the garbage collector.
+    # `_decide`, `norm` and `canonical` encode the start and target once;
+    # only the least word and the witness path are decoded, and no encoded
+    # word leaves this module.  The cyclic kernel stays on tuples, because
+    # `cyclic_component` hands its members and stop words to callers as
+    # tuples.
     #
     # The cyclic search has the same rule across rotations.  At rotation
     # start >= 1, a move on v = w[start:] + w[:start] whose outer ends trim
@@ -535,7 +582,8 @@ class RankOracle:
     # v[-1] != T[-1] are built, and nothing trims at the outer ends:
     # - an insertion fits exactly when |T| <= room = cap - |w|, so none does
     #   below room = min |T|, and the records that do are the linear
-    #   generator's, memoised in `_linear_inserts` under (room, v[-1], v[0]);
+    #   generator's `_plain_inserts`, as tuple records in `_cyclic_inserts`
+    #   under (room, v[-1], v[0]);
     # - an overlap first tests whether it can fit: with
     #   k = ceil((|v| + |T| - 2l - cap) / 2) > 0, a core within the cap needs
     #   j >= min(k, jmax), jmax = min(|T|, |v|) - l, so v and T must end in
@@ -546,65 +594,73 @@ class RankOracle:
     #   the records of `by_first[v[0]]` with T[-1] != v[-1] and either
     #   |T| - 2 <= room or T[1] == v[1], in ascending index order.
 
-    def _linear_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
-        """At each position p: the overlap moves (p, ci, ov), ov = 1..l, of
-        every context matching w[p:] on l letters, then the insertions
-        (p, ci, 0) of every context.  A successor is w[:p] (T[l:])^-1 w[p+l:]
-        freely reduced, with l maximal, so its right seam never cancels.  A
-        move whose left seam cancels (w[p-1] == T[-1]) repeats the move at
-        p-1 with T rotated by one, so only moves with w[p-1] != T[-1] are
-        built: their word has |w| + |T| - 2l letters, and only when the whole
-        context matches (l == |T|) do the two ends of w cancel further.
-        Insertions are looked up only when room >= min |T|."""
-        sys_ = self.system
-        by_first = sys_.by_first
-        memo = self._linear_inserts
+    def _linear_successors(self, w: str, cap: int) -> list[tuple]:
+        """At each position p of the encoded word w: the overlap moves
+        (p, ci, ov), ov = 1..l, of every context matching w[p:] on l
+        letters, then the insertions (p, ci, 0) of every context.  A
+        successor is w[:p] (T[l:])^-1 w[p+l:] freely reduced, with l maximal,
+        so its right seam never cancels.  A move whose left seam cancels
+        (w[p-1] == T[-1]) repeats the move at p-1 with T rotated by one, so
+        only moves with w[p-1] != T[-1] are built: their word has
+        |w| + |T| - 2l letters, and only when the whole context matches
+        (l == |T|) do the two ends of w cancel further.  Overlaps come from
+        the two-letter index `_linear_overlaps`; insertions are looked up
+        only when room >= min |T|."""
         n = len(w)
         room = cap - n
-        fits = room >= sys_.min_relator_len
+        index = self._linear_overlaps.get(room)
+        if index is None:
+            index = self._linear_overlaps[room] = {
+                first: {} for first in self._encoded_by_first}
+        memo = self._linear_inserts
+        fits = room >= self.system.min_relator_len
         out = []
-        left = 0  # w[p - 1], or 0 at the start
+        left = ""  # w[p - 1], or '' at the start
         for p, right in enumerate(w):
-            rest = n - p
-            for ci, T, T_inv, L in by_first.get(right, ()):
-                lmax = L if L < rest else rest
-                l = 1
-                while l < lmax and T[l] == w[p + l]:
-                    l += 1
-                if left == T[-1] or L - 2 * l > room:
-                    continue
-                if l < L:
-                    succ = w[:p] + T_inv[:L - l] + w[p + l:]
-                else:  # w[:a] now meets w[b:] and may cancel further
-                    a, b = p, p + L
-                    while a and b < n and w[a - 1] == -w[b]:
-                        a -= 1
-                        b += 1
-                    succ = w[:a] + w[b:]
-                out.append((succ, (p, ci, 1)))
+            nexts = index.get(right)
+            if nexts is not None:
+                nxt = w[p + 1 : p + 2]
+                overlaps = nexts.get(nxt)
+                if overlaps is None:
+                    overlaps = nexts[nxt] = tuple(
+                        (ci, T, T_inv, L, T[:max(1, (L - room + 1) // 2)])
+                        for ci, T, T_inv, L in self._encoded_by_first[right]
+                        if L - 2 <= room or T[1] == nxt)
+                rest = n - p
+                for ci, T, T_inv, L, prefix in overlaps:
+                    if left == T[-1] or not w.startswith(prefix, p):
+                        continue
+                    lmax = L if L < rest else rest
+                    l = len(prefix)
+                    while l < lmax and T[l] == w[p + l]:
+                        l += 1
+                    if l < L:
+                        succ = w[:p] + T_inv[:L - l] + w[p + l:]
+                    else:  # w[:a] now meets w[b:] and may cancel further
+                        a, b = p, p + L
+                        while a and b < n and ord(w[a - 1]) ^ 1 == ord(w[b]):
+                            a -= 1
+                            b += 1
+                        succ = w[:a] + w[b:]
+                    out.append((succ, (p, ci, 1)))
             if fits:
                 inserts = memo.get((room, left, right))
                 if inserts is None:
-                    inserts = self._plain_inserts(room, left, right)
+                    inserts = memo[room, left, right] = _plain_inserts(
+                        self._encoded_records, room, left, right)
                 if inserts:
                     head, tail = w[:p], w[p:]
                     for ci, _, T_inv, _ in inserts:
                         out.append((head + T_inv + tail, (p, ci, 0)))
             left = right
         if fits:  # p = n: no letter to overlap, insertions only
-            inserts = memo.get((room, left, 0))
+            inserts = memo.get((room, left, ""))
             if inserts is None:
-                inserts = self._plain_inserts(room, left, 0)
+                inserts = memo[room, left, ""] = _plain_inserts(
+                    self._encoded_records, room, left, "")
             for ci, _, T_inv, _ in inserts:
                 out.append((w + T_inv, (n, ci, 0)))
         return out
-
-    def _plain_inserts(self, room: int, left: int, right: int) -> tuple[tuple, ...]:
-        """Fill and return `_linear_inserts[room, left, right]`."""
-        hit = self._linear_inserts[room, left, right] = tuple(
-            r for r in self.system._records
-            if r[3] <= room and r[1][0] != right and r[1][-1] != left)
-        return hit
 
     def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
         """For each rotation v = w[start:] + w[:start]: the overlap moves
@@ -613,8 +669,8 @@ class RankOracle:
         Results are canonical rotations of cyclic cores.  Past rotation 0 a
         move whose outer ends trim (v[-1] == T[-1]) repeats the overlap move
         at start - 1 with T rotated by one, so only moves with
-        v[-1] != T[-1] are built there: the insertions are those of the
-        shared `_linear_inserts` memo, each core T^-1 v whole, and the
+        v[-1] != T[-1] are built there: the insertions are the linear
+        kernel's `_plain_inserts`, each core T^-1 v whole, and the
         overlaps those of the `_cyclic_overlaps` index, and insertions are
         looked up only when room >= min |T|.  Rotation 0 builds every move,
         its insertions from `insertion_candidates`."""
@@ -622,7 +678,7 @@ class RankOracle:
         by_first = sys_.by_first
         memo = sys_._insertion_candidates
         overlaps_memo = self._cyclic_overlaps
-        inserts_memo = self._linear_inserts
+        inserts_memo = self._cyclic_inserts
         n = len(w)
         room = cap - n
         fits = room >= sys_.min_relator_len
@@ -659,7 +715,8 @@ class RankOracle:
                 if fits:
                     inserts = inserts_memo.get((room, last, first))
                     if inserts is None:
-                        inserts = self._plain_inserts(room, last, first)
+                        inserts = inserts_memo[room, last, first] = _plain_inserts(
+                            sys_._records, room, last, first)
                     for ci, _, T_inv, _ in inserts:
                         out.append((min_rotation(T_inv + v), (start, ci, 0)))
                 continue
@@ -690,6 +747,9 @@ class RankOracle:
         its budget or its stop rule, is not kept.  (A stopped search is a
         prefix of the same deterministic run, so verdicts and witnesses never
         depend on memo warmth, only the diagnostic state counts do.)
+
+        A linear search takes and keeps encoded words, ordered by
+        (len(s), s); a cyclic one letter tuples, ordered by `shortlex_key`.
         """
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
@@ -698,10 +758,13 @@ class RankOracle:
 
         comp = _Component(start, cap, cyclic)
         parents = comp.parents
-        successors = self._cyclic_successors if cyclic else self._linear_successors
+        if cyclic:
+            successors, order = self._cyclic_successors, shortlex_key
+        else:
+            successors, order = self._linear_successors, _encoded_key
         max_applications = budget.max_relator_applications
         applications, complete, min_word = 0, True, start
-        min_key = shortlex_key(start)
+        min_key = order(start)
         heap = [(min_key, start)]
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap and complete:
@@ -714,7 +777,7 @@ class RankOracle:
                     complete = False
                     break
                 parents[succ] = (w, move)
-                key = shortlex_key(succ)
+                key = order(succ)
                 if key < min_key:
                     min_word, min_key = succ, key
                 heappush(heap, (key, succ))
@@ -743,8 +806,9 @@ class RankOracle:
 
     def _edge_steps_linear(self, pred, move, succ) -> list[dict]:
         p, ci, _ = move
+        pred = decode_letters(pred)
         steps, red = self._insert_steps(ci, pred[:p], pred[p:])
-        if red != succ:
+        if red != decode_letters(succ):
             raise BurnlabError("trace assembly mismatch")
         return steps
 
@@ -801,7 +865,13 @@ class RankOracle:
         cyclic); an exhausted component, no; else unknown.  Verdicts decided
         before the search report `size` as their cap.  `extras` go into the
         yes witness and the exhaustion certificate; a witness to an {a, b}
-        word names it as "target"."""
+        word names it as "target".  A linear search runs on the encodings of
+        `start` and `target`."""
+        if cyclic:
+            cap = size + budget.max_ball_radius
+        else:
+            cap = self._linear_cap(start, budget)
+            start, target = encode_letters(start), encode_letters(target)
         comp = _Component(start, size, cyclic)  # start alone, before any search
         hit = _hit(comp, target)
         if hit is None:
@@ -816,7 +886,6 @@ class RankOracle:
                                  "lattice": [list(b) for b in lattice.basis()]},
                     budget_used=self._use(comp),
                 )
-            cap = size + budget.max_ball_radius if cyclic else self._linear_cap(start, budget)
             stop = is_ab_word if target is None else target.__eq__
             comp = self._closure(start, cap, budget, cyclic, stop)
             hit = _hit(comp, target)
@@ -853,7 +922,7 @@ class RankOracle:
             return NormBounds(0, 0, True, budget_used=BudgetUse(1, 0, 0, True))
         if self.system.empty:
             return NormBounds(len(w), len(w), True, budget_used=BudgetUse(1, 0, len(w), True))
-        comp = self._closure(w, self._linear_cap(w, budget), budget, cyclic=False)
+        comp = self._closure(encode_letters(w), self._linear_cap(w, budget), budget, cyclic=False)
         upper = len(comp.min_word)
         witness = None
         if upper < len(w):
@@ -869,8 +938,8 @@ class RankOracle:
         whether the component was exhausted."""
         budget = self._budget(budget)
         w = _letters(u)
-        comp = self._closure(w, self._linear_cap(w, budget), budget, cyclic=False)
-        return comp.min_word, comp.complete
+        comp = self._closure(encode_letters(w), self._linear_cap(w, budget), budget, cyclic=False)
+        return decode_letters(comp.min_word), comp.complete
 
     def cyclic_component(self, u: Sequence[int] | Word,
                          budget: Optional[OracleBudget] = None,
@@ -908,6 +977,20 @@ def _hit(comp: _Component, target: Optional[tuple[int, ...]]) -> Optional[tuple[
         return min((w for w in comp.parents if is_ab_word(w)),
                    key=shortlex_key, default=None)
     return target if target in comp.parents else None
+
+
+def _encoded_key(s: str) -> tuple[int, str]:
+    """The shortlex key of an encoded word."""
+    return len(s), s
+
+
+def _plain_inserts(records: tuple[tuple, ...], room: int, left, right) -> tuple[tuple, ...]:
+    """The records, in order, of the contexts T with |T| <= room,
+    T[0] != right and T[-1] != left: the insertions that neither overlap nor
+    cancel.  Records and letters are both tuple-form or both encoded; a
+    missing neighbour is a value no letter equals."""
+    return tuple(r for r in records
+                 if r[3] <= room and r[1][0] != right and r[1][-1] != left)
 
 
 def _letters(u: Sequence[int] | Word) -> tuple[int, ...]:

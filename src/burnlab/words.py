@@ -21,10 +21,13 @@ from .errors import InputError
 # generator indices have at most this many digits, counted before int() so
 # that it never meets a huge literal; no alphabet a run can enumerate nears 10^18
 MAX_INDEX_DIGITS = 18
-# the largest m an Alphabet takes: a radius-2 ball at m = 10^6 has about 4*10^12
-# elements, far past any run, while the (m + 2)-integer exponent vectors of a
-# relator system stay megabytes; a larger m only reaches those allocations
-MAX_ALPHABET_M = 1_000_000
+# the largest m an Alphabet takes.  `encode_letters` writes a letter as the
+# code point letter_key(letter), at most letter_key(S_m) = 2m + 3, and chr()
+# stops at 0x10FFFF = 1,114,111, so m must stay below 557,054; this bound
+# leaves a margin.  A radius-2 ball at m = 5*10^5 has about 10^12 elements,
+# far past any run, while the (m + 2)-integer exponent vectors of a relator
+# system stay megabytes
+MAX_ALPHABET_M = 500_000
 
 
 def letter_key(letter: int) -> int:
@@ -38,16 +41,57 @@ def letter_key(letter: int) -> int:
     return -2 * letter - 1
 
 
-class _LetterKeys(dict):
-    """letter -> letter_key(letter), filled on first use, so that hot loops
-    map whole words through the C-level `dict.__getitem__`."""
+class _Table(dict):
+    """key -> fn(key), filled on first use, so that hot loops map whole
+    words through the C-level `dict.__getitem__`."""
 
-    def __missing__(self, letter: int) -> int:
-        key = self[letter] = letter_key(letter)
-        return key
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-_letter_key_of = _LetterKeys().__getitem__
+def _letter_char(letter: int) -> str:
+    code = letter_key(letter)
+    if code > 0x10FFFF:
+        raise InputError("letter %d has no one-character encoding" % letter)
+    return chr(code)
+
+
+def _char_letter(char: str) -> int:
+    code = ord(char)
+    return -(code // 2 + 1) if code & 1 else code // 2 + 1
+
+
+_letter_key_of = _Table(letter_key).__getitem__
+_letter_char_of = _Table(_letter_char).__getitem__
+_char_letter_of = _Table(_char_letter).__getitem__
+
+
+def encode_letters(t: Sequence[int]) -> str:
+    """The word as a string of one code point per letter, that code point
+    being the letter's `letter_key`.  Two encodings of one length compare
+    like the letter order, so (len(s), s) orders words as `shortlex_key`
+    does, and the inverse of a letter's code c is c ^ 1.  Encodings are an
+    in-memory form only: codes from 0xD800 are surrogates, which no text
+    codec writes.
+
+    >>> encode_letters((1, -1, 2, -2, 3))
+    '\\x00\\x01\\x02\\x03\\x04'
+    """
+    return "".join(map(_letter_char_of, t))
+
+
+def decode_letters(s: str) -> tuple[int, ...]:
+    """The letters of an `encode_letters` string.
+
+    >>> decode_letters(encode_letters((3, -1, 2)))
+    (3, -1, 2)
+    """
+    return tuple(map(_char_letter_of, s))
 
 
 # the letters of the subgroup H = <a, b>, in letter_key order

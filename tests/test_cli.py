@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from burnlab import cli
 from burnlab.errors import BurnlabError
 from burnlab.oracle import OracleBudget
 from burnlab.presentation import GradedPresentation
+from burnlab.words import MAX_ALPHABET_M
 
 DIAGRAM_DIR = Path(__file__).parent / "data" / "diagrams"
 
@@ -75,7 +79,26 @@ class TestBuild:
                        "--out-dir", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "m exceeds MAX_ALPHABET_M = 1000000" in err
+        assert err.count("\n") == 1 and "m exceeds MAX_ALPHABET_M = 500000" in err
+
+
+    def test_alphabet_one_past_its_bound_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["build", "--max-rank", "0", "--m", str(MAX_ALPHABET_M + 1),
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "m exceeds MAX_ALPHABET_M = %d" % MAX_ALPHABET_M in capsys.readouterr().err
+
+
+class TestImports:
+    def test_cli_leaves_the_diagram_module_unimported(self):
+        # only diagram-check needs it, and it imports it itself
+        code = "import sys, burnlab.cli; print('burnlab.diagrams' in sys.modules)"
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestExitCodes:
@@ -358,7 +381,7 @@ class TestStructure:
         (("ranks", 0, "periods"), 5, "field ranks[0].periods must be a list of strings"),
         (("ranks",), "x", "field ranks must be a list"),
         (("params", "k"), 3.5, "field params.k must be an integer, got 3.5"),
-        (("alphabet", "m"), 10 ** 30, "m exceeds MAX_ALPHABET_M = 1000000"),
+        (("alphabet", "m"), 10 ** 30, "m exceeds MAX_ALPHABET_M = 500000"),
     ])
     def test_malformed_presentation_exits_2(self, workspace, tmp_path, capsys,
                                             path, value, message):

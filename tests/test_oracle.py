@@ -28,6 +28,8 @@ from burnlab.words import (
     Word,
     cyclic_reduce_letters,
     cyclic_split_reduced,
+    decode_letters,
+    encode_letters,
     free_conjugate,
     is_ab_letter,
     is_ab_word,
@@ -119,6 +121,19 @@ def reference_closure(system, start, cap, max_applications, cyclic, stop=None):
             if stop is not None and stop(succ):
                 return applications, len(parents), False, parents, min_word
     return applications, len(parents), True, parents, min_word
+
+
+def decoded_parents(comp):
+    """A component's parents map with its words as letter tuples: a linear
+    search keeps them encoded."""
+    if comp.cyclic:
+        return dict(comp.parents)
+    return {decode_letters(w): entry and (decode_letters(entry[0]), entry[1])
+            for w, entry in comp.parents.items()}
+
+
+def decoded_min_word(comp):
+    return comp.min_word if comp.cyclic else decode_letters(comp.min_word)
 
 
 @pytest.fixture(scope="module")
@@ -426,13 +441,15 @@ class TestMemo:
     def test_early_stopped_components_are_not_reused(self, p_k3_m1_r1):
         oracle = RankOracle(p_k3_m1_r1.relator_system(1))
         start = Word.parse("a.s1.s1.s1.A.b").letters
-        first, again = (oracle._closure(start, 10, OracleBudget(), cyclic=False,
-                                        stop=(2,).__eq__)
+        first, again = (oracle._closure(encode_letters(start), 10, OracleBudget(),
+                                        cyclic=False, stop=encode_letters((2,)).__eq__)
                         for _ in range(2))
-        assert not first.complete and (2,) in first.parents
+        assert not first.complete and (2,) in decoded_parents(first)
         assert again is not first
-        assert ((again.parents, again.states, again.applications, again.min_word)
-                == (first.parents, first.states, first.applications, first.min_word))
+        assert ((decoded_parents(again), again.states, again.applications,
+                 decoded_min_word(again))
+                == (decoded_parents(first), first.states, first.applications,
+                    decoded_min_word(first)))
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("budget", [
@@ -494,6 +511,11 @@ class TestSuccessorGenerators:
     @example(seq=[1, 2], which=1, cyclic=False, slack=3, stop=False, max_applications=50_000)
     @example(seq=[1, 2], which=1, cyclic=True, slack=2, stop=False, max_applications=50_000)
     @example(seq=[1, 2], which=1, cyclic=True, slack=3, stop=False, max_applications=50_000)
+    # (a.b.A.s1)^3 at rooms 4 and 0: the linear overlap index skips the
+    # context a.b.A.s1.a.b.A.s1.a.b.A.s1 at a.s1 and keeps it at a.b.A.s1.a.b
+    @example(seq=[1, 3], which=3, cyclic=False, slack=4, stop=False, max_applications=50_000)
+    @example(seq=[1, 2, -1, 3, 1, 2], which=3, cyclic=False, slack=0, stop=False,
+             max_applications=50_000)
     @settings(max_examples=150, deadline=None)
     def test_closure_matches_reference(self, systems, seq, which, cyclic, slack,
                                        stop, max_applications):
@@ -503,13 +525,16 @@ class TestSuccessorGenerators:
             core, _ = cyclic_reduce_letters(w)
             w = min_rotation(core)
         cap = len(w) + slack
-        # the stop rules of `_decide`: the empty word, or any {a, b} word
+        # the stop rules of `_decide`: the empty word, or any {a, b} word;
+        # the linear search runs on encoded words
         rule = None if not stop else is_ab_word if cyclic else ().__eq__
         comp = RankOracle(system)._closure(
-            w, cap, OracleBudget(max_relator_applications=max_applications), cyclic, rule)
+            w if cyclic else encode_letters(w), cap,
+            OracleBudget(max_relator_applications=max_applications), cyclic,
+            rule if cyclic or rule is None else encode_letters(()).__eq__)
         expected = reference_closure(system, w, cap, max_applications, cyclic, stop=rule)
-        assert (comp.applications, comp.states, comp.complete, dict(comp.parents),
-                comp.min_word) == expected
+        assert (comp.applications, comp.states, comp.complete, decoded_parents(comp),
+                decoded_min_word(comp)) == expected
         assert comp.states <= max_applications + 1
         if comp.complete:
             assert comp.applications == comp.states - 1
@@ -535,6 +560,14 @@ class TestSuccessorGenerators:
     @example(seq=[1, 2], which=1, cyclic=False, slack=3)
     @example(seq=[1, 2], which=1, cyclic=True, slack=2)
     @example(seq=[1, 2], which=1, cyclic=True, slack=3)
+    # the linear overlap index at (a.b.A.s1)^3, |T| - 2 = 10 over every room
+    # 0..4: the context a.b.A.s1.a.b.A.s1.a.b.A.s1 matches a.s1 on its first
+    # letter only and is skipped; it matches a.b.A.s1.a.b, past its first two
+    # letters, on 6 letters and is built at room 0, and a.b.A.s1 on 4
+    # letters at room 4
+    @example(seq=[1, 3], which=3, cyclic=False, slack=4)
+    @example(seq=[1, 2, -1, 3, 1, 2], which=3, cyclic=False, slack=0)
+    @example(seq=[1, 2, -1, 3], which=3, cyclic=False, slack=4)
     @settings(max_examples=150, deadline=None)
     def test_yields_are_reference_moves_in_cap(self, systems, seq, which, cyclic, slack):
         system = systems[which]
@@ -549,7 +582,8 @@ class TestSuccessorGenerators:
             yields = oracle._cyclic_successors(w, cap)
         else:
             reference = list(reference_linear_moves(system, w))
-            yields = oracle._linear_successors(w, cap)
+            yields = [(decode_letters(succ), move)
+                      for succ, move in oracle._linear_successors(encode_letters(w), cap)]
         in_cap = {(succ, move) for succ, move in reference if len(succ) <= cap}
         assert all(pair in in_cap for pair in yields)
 
@@ -578,7 +612,7 @@ class TestSuccessorGenerators:
             w = min_rotation(core)
             yields = RankOracle(system)._cyclic_successors(w, len(w) + room)
         else:
-            yields = RankOracle(system)._linear_successors(w, len(w) + room)
+            yields = RankOracle(system)._linear_successors(encode_letters(w), len(w) + room)
         assert not [move for _, move in yields if move[2] == 0 and (move[0] or not cyclic)]
 
     @given(seq=raw_m1, which=st.integers(0, 4))

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from burnlab.errors import InputError
 from burnlab.words import (
+    MAX_ALPHABET_M,
     Alphabet,
     CyclicWord,
     Word,
     cyclic_reduce_letters,
     cyclic_split_reduced,
     cyclically_reduced_words,
+    decode_letters,
+    encode_letters,
     exponent_vector,
     free_ball_size,
     free_conjugate,
@@ -192,6 +195,37 @@ class TestCodec:
         u, v = Word(a), Word(b)
         if len(u) < len(v):
             assert shortlex_key(u.letters) < shortlex_key(v.letters)
+
+
+def reduced_words_at(m):
+    """Random freely reduced words over Alphabet(m), drawn from its first
+    and last generators so that the largest letter codes come up."""
+    gens = sorted({1, 2, 3, m + 1, m + 2} & set(range(1, m + 3)))
+    return st.lists(st.sampled_from(gens + [-g for g in gens]), max_size=10).map(
+        lambda seq: Word(seq).letters)
+
+
+class TestEncoding:
+    """The in-memory encoding the linear rewriting search runs on."""
+
+    @pytest.mark.parametrize("m", [1, 3, MAX_ALPHABET_M])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_round_trip_order_and_inverse(self, m, data):
+        words = data.draw(st.lists(reduced_words_at(m), min_size=1, max_size=6))
+        for w in words:
+            s = encode_letters(w)
+            assert decode_letters(s) == w and len(s) == len(w)
+            assert [ord(c) for c in encode_letters(inverse_letters(w))] == \
+                [ord(c) ^ 1 for c in reversed(s)]
+        assert (sorted(words, key=lambda w: (len(w), encode_letters(w)))
+                == sorted(words, key=shortlex_key))
+
+    def test_the_bound_alphabet_encodes_every_letter(self):
+        top = MAX_ALPHABET_M + 2
+        assert decode_letters(encode_letters((top, -top))) == (top, -top)
+        with pytest.raises(InputError):  # its code point would pass 0x10FFFF
+            encode_letters((10 ** 7,))
 
 
 class TestAlphabet:
