@@ -42,14 +42,10 @@ the shortest relator, every insertion that rule (or, past rotation 0 of the
 cyclic search, its cyclic twin) keeps: it cancels no letter, so it adds |T|
 letters and ends over the cap.
 
-The linear search runs on encoded words (`words.encode_letters`, one code
-point per letter), so its members hash, slice and join as strings and
-(len(s), s) is the shortlex order; it finds the overlaps at each position
-through an index on the letter there and the next one, since over a small
-room most contexts must match two letters or more to fit.  Encoded words
-never leave this module: queries take and return letter tuples and `Word`s.
-The cyclic search stays on tuples, because `cyclic_component` hands its
-members to callers and its stop rules receive them.
+The linear search runs on `words.encode_letters` strings; encoded words
+never leave this module, and queries take and return letter tuples and
+`Word`s.  The cyclic search stays on tuples, because `cyclic_component`
+hands its members to callers and its stop rules receive them.
 """
 
 from __future__ import annotations
@@ -315,7 +311,7 @@ class RelatorSystem:
         must end with the last min(2, |before|, that many) of them.  Only
         rotation 0 of the cyclic search asks for these: past it, a move whose
         outer ends trim is a repeat and is not built, so the insertions that
-        remain are the untrimmed ones of `RankOracle._linear_inserts`."""
+        remain are `_plain_inserts`, memoized in `RankOracle._cyclic_inserts`."""
         key = (room, before, right)
         hit = self._insertion_candidates.get(key)
         if hit is None:
@@ -473,13 +469,13 @@ class _Component:
     def __init__(self, start, cap, cyclic):
         self.cap = cap
         self.cyclic = cyclic
-        self.parents: dict[tuple[int, ...], Optional[tuple]] = {start: None}
+        self.parents: dict[tuple[int, ...] | str, Optional[tuple]] = {start: None}
         self.complete = True
         self.min_word = start
         self.states = 1
         self.applications = 0
 
-    def path_moves(self, target: tuple[int, ...]) -> list[tuple]:
+    def path_moves(self, target: tuple[int, ...] | str) -> list[tuple]:
         moves = []
         cur = target
         while True:
@@ -497,8 +493,8 @@ class RankOracle:
     """Word/conjugacy/norm decisions over one relator system.
 
     Complete rewriting components are memoized in one dict keyed
-    (start, cap, cyclic), a linear start encoded, so repeated queries
-    against the same presentation snapshot are cheap.  Writes to the memo are idempotent: a complete
+    (start, cap, cyclic), so repeated queries against the same presentation
+    snapshot are cheap.  Writes to the memo are idempotent: a complete
     component is a pure function of (start, cap, cyclic)."""
 
     def __init__(self, system: RelatorSystem):
@@ -562,16 +558,6 @@ class RankOracle:
     # or T[1] == w[p+1], in ascending index order, each with its prefix, and
     # a letter that starts no context costs one lookup.  T[1] is read only
     # when |T| > 2.
-    #
-    # The linear kernel runs on encoded words (`words.encode_letters`): one
-    # code point per letter, the letter's shortlex key, so (len(s), s) is the
-    # shortlex order and c ^ 1 inverts a letter.  A str hashes once, slices
-    # and joins by memcpy and is not tracked by the garbage collector.
-    # `_decide`, `norm` and `canonical` encode the start and target once;
-    # only the least word and the witness path are decoded, and no encoded
-    # word leaves this module.  The cyclic kernel stays on tuples, because
-    # `cyclic_component` hands its members and stop words to callers as
-    # tuples.
     #
     # The cyclic search has the same rule across rotations.  At rotation
     # start >= 1, a move on v = w[start:] + w[:start] whose outer ends trim
@@ -733,7 +719,7 @@ class RankOracle:
 
     # closure ---------------------------------------------------------------
 
-    def _closure(self, start: tuple[int, ...], cap: int, budget: OracleBudget,
+    def _closure(self, start: tuple[int, ...] | str, cap: int, budget: OracleBudget,
                  cyclic: bool, stop: Optional[Callable] = None) -> _Component:
         """Forward rewriting component of `start` within length cap.  The one
         stop rule: the search ends, incomplete, at the first word past `start`
@@ -748,9 +734,7 @@ class RankOracle:
         prefix of the same deterministic run, so verdicts and witnesses never
         depend on memo warmth, only the diagnostic state counts do.)
 
-        A linear search takes and keeps encoded words, ordered by
-        (len(s), s); a cyclic one letter tuples, ordered by `shortlex_key`.
-        """
+        A linear `start` is encoded; a cyclic one is a letter tuple."""
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
         if hit is not None and hit.applications <= budget.max_relator_applications:
@@ -818,7 +802,7 @@ class RankOracle:
         isteps, red = self._insert_steps(ci, (), pred[rot:] + pred[:rot])
         return steps + isteps + _cyclic_rep_steps(red, succ)
 
-    def _trace(self, comp: _Component, target: tuple[int, ...], start_word: tuple[int, ...],
+    def _trace(self, comp: _Component, target: tuple[int, ...] | str, start_word: tuple[int, ...],
                prefix_steps: Optional[list[dict]] = None) -> dict:
         steps = list(prefix_steps or [])
         for pred, move, succ in comp.path_moves(target):
@@ -865,8 +849,7 @@ class RankOracle:
         cyclic); an exhausted component, no; else unknown.  Verdicts decided
         before the search report `size` as their cap.  `extras` go into the
         yes witness and the exhaustion certificate; a witness to an {a, b}
-        word names it as "target".  A linear search runs on the encodings of
-        `start` and `target`."""
+        word names it as "target"."""
         if cyclic:
             cap = size + budget.max_ball_radius
         else:
@@ -970,7 +953,8 @@ class RankOracle:
                             self.system.expvec(tu), self._budget(budget), cyclic=True)
 
 
-def _hit(comp: _Component, target: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+def _hit(comp: _Component, target: Optional[tuple[int, ...] | str]
+         ) -> Optional[tuple[int, ...] | str]:
     """target if the component holds it; with target None, the least member
     written over {a, b}; else None."""
     if target is None:

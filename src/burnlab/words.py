@@ -23,7 +23,7 @@ from .errors import InputError
 MAX_INDEX_DIGITS = 18
 # the largest m an Alphabet takes.  `encode_letters` writes a letter as the
 # code point letter_key(letter), at most letter_key(S_m) = 2m + 3, and chr()
-# stops at 0x10FFFF = 1,114,111, so m must stay below 557,054; this bound
+# stops at 0x10FFFF = 1,114,111, so m must be at most 557,054; this bound
 # leaves a margin.  A radius-2 ball at m = 5*10^5 has about 10^12 elements,
 # far past any run, while the (m + 2)-integer exponent vectors of a relator
 # system stay megabytes
