@@ -42,10 +42,8 @@ the shortest relator, every insertion that rule (or, past rotation 0 of the
 cyclic search, its cyclic twin) keeps: it cancels no letter, so it adds |T|
 letters and ends over the cap.
 
-The linear search runs on `words.encode_letters` strings; encoded words
-never leave this module, and queries take and return letter tuples and
-`Word`s.  The cyclic search stays on tuples, because `cyclic_component`
-hands its members to callers and its stop rules receive them.
+Both searches run on `words.encode_letters` strings; encoded words never
+leave this module, and queries take and return letter tuples and `Word`s.
 """
 
 from __future__ import annotations
@@ -55,15 +53,15 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BurnlabError, InputError
 from .words import (
+    AB_LETTERS,
     Alphabet,
     Word,
     cyclic_rep,
-    cyclic_split_reduced,
     decode_letters,
     encode_letters,
     exponent_vector,
@@ -73,9 +71,9 @@ from .words import (
     is_ab_word,
     is_cyclically_reduced,
     min_rotation,
+    min_rotation_encoded,
     parse_letters,
     reduce_letters,
-    shortlex_key,
     splice_reduce,
 )
 
@@ -255,30 +253,34 @@ class RelatorSystem:
                     raise InputError("relator %s uses letter outside alphabet" % r.id)
 
         contexts: list[_Context] = []
+        # the encoded record (ci, T, T^-1, |T|) of each context, as the
+        # successor generators unpack it
+        records: list[tuple] = []
         seen: set[tuple[int, ...]] = set()
         for ri, rel in enumerate(self.relators):
-            for sign in (1, -1):
-                base = rel.word if sign == 1 else inverse_letters(rel.word)
-                for shift in range(len(base)):
+            n = len(rel.word)
+            words = {1: rel.word, -1: inverse_letters(rel.word)}
+            codes = {sign: encode_letters(w) for sign, w in words.items()}
+            for sign, base in words.items():
+                for shift in range(n):
                     rot = base[shift:] + base[:shift]
                     if rot in seen:
                         continue
                     seen.add(rot)
+                    # rot^-1 is the rotation of the other word at n - shift
+                    code, inv_code, j = codes[sign], codes[-sign], n - shift
+                    records.append((len(contexts), code[shift:] + code[:shift],
+                                    inv_code[j:] + inv_code[:j], n))
                     contexts.append(_Context(rot, ri, sign, shift))
         self.contexts = tuple(contexts)
-        self._inv_context_letters = tuple(inverse_letters(c.letters) for c in contexts)
-        # the record (ci, T, T^-1, |T|) of each context, as the successor
-        # generators unpack it
-        self._records = tuple(
-            (i, c.letters, t_inv, len(c.letters))
-            for i, (c, t_inv) in enumerate(zip(contexts, self._inv_context_letters)))
-        by_first: dict[int, list[tuple]] = {}
+        self._inv_context_letters = tuple(decode_letters(r[2]) for r in records)
+        self._records = tuple(records)
+        by_first: dict[str, list[tuple]] = {}
         for rec in self._records:
             by_first.setdefault(rec[1][0], []).append(rec)
         self.by_first = {k: tuple(v) for k, v in by_first.items()}
         self.max_relator_len = max((len(r.word) for r in self.relators), default=0)
         self.min_relator_len = min((len(r.word) for r in self.relators), default=0)
-        self._insertion_candidates: dict[tuple, tuple[tuple, ...]] = {}
         self.lattice = IntegerLattice(
             [exponent_vector(r.word, alphabet.size) for r in self.relators], alphabet.size
         )
@@ -301,28 +303,6 @@ class RelatorSystem:
             run = _cyclic_ab_run(rel.word)
             margins.append(len(rel.word) - 6 * run)
         self.ab_margin = min(margins) if margins else None
-
-    def insertion_candidates(self, room: int, before: tuple[int, ...], right: int) -> tuple[tuple, ...]:
-        """Records, by ascending index, of the contexts T whose whole-relator
-        insertion T^-1 just before the letter `right` may stay within `room`
-        extra letters, and is not also an overlap move (T does not start with
-        `right`).  Over the room, the insertion must cancel at least
-        ceil((|T| - room) / 2) letters of its left neighbours `before`, so T
-        must end with the last min(2, |before|, that many) of them.  Only
-        rotation 0 of the cyclic search asks for these: past it, a move whose
-        outer ends trim is a repeat and is not built, so the insertions that
-        remain are `_plain_inserts`, memoized in `RankOracle._cyclic_inserts`."""
-        key = (room, before, right)
-        hit = self._insertion_candidates.get(key)
-        if hit is None:
-            out = []
-            for rec in self._records:
-                _, T, _, L = rec
-                need = min(2, len(before), (L - room + 1) // 2)
-                if T[0] != right and (need <= 0 or T[-need:] == before[-need:]):
-                    out.append(rec)
-            hit = self._insertion_candidates[key] = tuple(out)
-        return hit
 
     def relator_by_id(self, rid: str) -> Relator:
         try:
@@ -464,29 +444,56 @@ def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dic
 
 
 class _Component:
-    __slots__ = ("cap", "complete", "parents", "min_word", "states", "applications", "cyclic")
+    """A rewriting component within a cap.  The search keeps its words
+    encoded: `_parents` maps each to its (predecessor, move), None at the
+    start, in the order they were added, and `_min_word` is the least.
+    `parents` and `min_word` read them as letter tuples."""
 
-    def __init__(self, start, cap, cyclic):
+    __slots__ = ("cap", "complete", "_parents", "parents", "_min_word", "states",
+                 "applications", "cyclic")
+
+    def __init__(self, start: str, cap, cyclic):
         self.cap = cap
         self.cyclic = cyclic
-        self.parents: dict[tuple[int, ...] | str, Optional[tuple]] = {start: None}
+        self._parents: dict[str, Optional[tuple]] = {start: None}
+        self.parents = _DecodedMembers(self._parents)
         self.complete = True
-        self.min_word = start
+        self._min_word = start
         self.states = 1
         self.applications = 0
 
-    def path_moves(self, target: tuple[int, ...] | str) -> list[tuple]:
+    @property
+    def min_word(self) -> tuple[int, ...]:
+        return decode_letters(self._min_word)
+
+    def path_moves(self, target: str) -> list[tuple]:
+        """The (pred, move, succ) steps from the start to `target`."""
         moves = []
-        cur = target
-        while True:
-            entry = self.parents[cur]
-            if entry is None:
-                break
-            pred, move = entry
-            moves.append((pred, move, cur))
-            cur = pred
-        moves.reverse()
-        return moves
+        while (entry := self._parents[target]) is not None:
+            moves.append((*entry, target))
+            target = entry[0]
+        return moves[::-1]
+
+
+class _DecodedMembers:
+    """The words of an encoded parents map as letter tuples, decoded as they
+    are read, so a memoized component holds no second copy of its members."""
+
+    __slots__ = ("_parents",)
+
+    def __init__(self, parents: dict[str, Optional[tuple]]):
+        self._parents = parents
+
+    def __iter__(self):
+        return map(decode_letters, self._parents)
+
+    def __contains__(self, word: tuple[int, ...]) -> bool:
+        return _encode_query(word) in self._parents
+
+
+# membership queries repeat a few words many times (`_conjugacy_test` asks
+# each component about the same period reps), and encoding is most of their cost
+_encode_query = lru_cache(maxsize=1024)(encode_letters)
 
 
 class RankOracle:
@@ -503,31 +510,16 @@ class RankOracle:
         # room -> w[p] -> w[p+1] ('' at the end) -> the overlap records,
         # each with the prefix of T it must match, `_linear_successors` tries
         self._linear_overlaps: dict[int, dict[str, dict[str, tuple[tuple, ...]]]] = {}
-        # (room, left, right) -> `_plain_inserts`, encoded, for
-        # `_linear_successors`; '' stands for no letter
-        self._linear_inserts: dict[tuple, tuple[tuple, ...]] = {}
-        # (room, v[-1], v[0]) -> `_plain_inserts` for `_cyclic_successors`
-        # past rotation 0
-        self._cyclic_inserts: dict[tuple, tuple[tuple, ...]] = {}
+        # (room, left, right) -> `_plain_inserts`, for `_linear_successors`
+        # and for `_cyclic_successors` past rotation 0; '' stands for no letter
+        self._inserts: dict[tuple, tuple[tuple, ...]] = {}
         # (room, v[0], v[-1], v[1]) -> the overlap records `_cyclic_successors`
         # tries past rotation 0
         self._cyclic_overlaps: dict[tuple, tuple[tuple, ...]] = {}
+        # (room, v[-2:], v[0]) -> `insertion_candidates`, for rotation 0
+        self._insertion_candidates: dict[tuple, tuple[tuple, ...]] = {}
 
     # successor generation -------------------------------------------------
-
-    @cached_property
-    def _encoded_records(self) -> tuple[tuple, ...]:
-        """The context records with T and T^-1 encoded.  Only linear searches
-        read them, so they are built on first use."""
-        return tuple((ci, encode_letters(T), encode_letters(T_inv), L)
-                     for ci, T, T_inv, L in self.system._records)
-
-    @cached_property
-    def _encoded_by_first(self) -> dict[str, list[tuple]]:
-        by_first: dict[str, list[tuple]] = {}
-        for rec in self._encoded_records:
-            by_first.setdefault(rec[1][0], []).append(rec)
-        return by_first
     #
     # Both generators return a list of (succ, move) in a fixed enumeration
     # order, for the moves whose result is within the cap and not a repeat of
@@ -568,8 +560,7 @@ class RankOracle:
     # v[-1] != T[-1] are built, and nothing trims at the outer ends:
     # - an insertion fits exactly when |T| <= room = cap - |w|, so none does
     #   below room = min |T|, and the records that do are the linear
-    #   generator's `_plain_inserts`, as tuple records in `_cyclic_inserts`
-    #   under (room, v[-1], v[0]);
+    #   generator's `_plain_inserts` under (room, v[-1], v[0]);
     # - an overlap first tests whether it can fit: with
     #   k = ceil((|v| + |T| - 2l - cap) / 2) > 0, a core within the cap needs
     #   j >= min(k, jmax), jmax = min(|T|, |v|) - l, so v and T must end in
@@ -594,11 +585,11 @@ class RankOracle:
         only when room >= min |T|."""
         n = len(w)
         room = cap - n
+        by_first, records = self.system.by_first, self.system._records
         index = self._linear_overlaps.get(room)
         if index is None:
-            index = self._linear_overlaps[room] = {
-                first: {} for first in self._encoded_by_first}
-        memo = self._linear_inserts
+            index = self._linear_overlaps[room] = {first: {} for first in by_first}
+        memo = self._inserts
         fits = room >= self.system.min_relator_len
         out = []
         left = ""  # w[p - 1], or '' at the start
@@ -610,7 +601,7 @@ class RankOracle:
                 if overlaps is None:
                     overlaps = nexts[nxt] = tuple(
                         (ci, T, T_inv, L, T[:max(1, (L - room + 1) // 2)])
-                        for ci, T, T_inv, L in self._encoded_by_first[right]
+                        for ci, T, T_inv, L in by_first[right]
                         if L - 2 <= room or T[1] == nxt)
                 rest = n - p
                 for ci, T, T_inv, L, prefix in overlaps:
@@ -633,7 +624,7 @@ class RankOracle:
                 inserts = memo.get((room, left, right))
                 if inserts is None:
                     inserts = memo[room, left, right] = _plain_inserts(
-                        self._encoded_records, room, left, right)
+                        records, room, left, right)
                 if inserts:
                     head, tail = w[:p], w[p:]
                     for ci, _, T_inv, _ in inserts:
@@ -642,13 +633,12 @@ class RankOracle:
         if fits:  # p = n: no letter to overlap, insertions only
             inserts = memo.get((room, left, ""))
             if inserts is None:
-                inserts = memo[room, left, ""] = _plain_inserts(
-                    self._encoded_records, room, left, "")
+                inserts = memo[room, left, ""] = _plain_inserts(records, room, left, "")
             for ci, _, T_inv, _ in inserts:
                 out.append((w + T_inv, (n, ci, 0)))
         return out
 
-    def _cyclic_successors(self, w: tuple[int, ...], cap: int) -> list[tuple]:
+    def _cyclic_successors(self, w: str, cap: int) -> list[tuple]:
         """For each rotation v = w[start:] + w[:start]: the overlap moves
         (start, ci, ov), ov = 1..l, of every context matching v on l letters,
         then the insertions (start, ci, 0) whose core is within the cap.
@@ -662,9 +652,8 @@ class RankOracle:
         its insertions from `insertion_candidates`."""
         sys_ = self.system
         by_first = sys_.by_first
-        memo = sys_._insertion_candidates
         overlaps_memo = self._cyclic_overlaps
-        inserts_memo = self._cyclic_inserts
+        inserts_memo = self._inserts
         n = len(w)
         room = cap - n
         fits = room >= sys_.min_relator_len
@@ -680,7 +669,7 @@ class RankOracle:
                         r for r in by_first.get(first, ())
                         if r[1][-1] != last and (r[3] - 2 <= room or r[1][1] == second))
             else:
-                first = v[0] if n else 0
+                first = v[:1]
                 overlaps = by_first.get(first, ())
             for ci, T, T_inv, L in overlaps:
                 lmax = L if L < n else n
@@ -704,22 +693,36 @@ class RankOracle:
                         inserts = inserts_memo[room, last, first] = _plain_inserts(
                             sys_._records, room, last, first)
                     for ci, _, T_inv, _ in inserts:
-                        out.append((min_rotation(T_inv + v), (start, ci, 0)))
+                        out.append((min_rotation_encoded(T_inv + v), (start, ci, 0)))
                 continue
             # v wraps around, so no boundary stops the trimming
-            before = v[-2:]
-            inserts = memo.get((room, before, first))
-            if inserts is None:
-                inserts = sys_.insertion_candidates(room, before, first)
-            for ci, T, T_inv, _ in inserts:
+            for ci, T, T_inv, _ in self.insertion_candidates(room, v[-2:], first):
                 core = _cyclic_splice(v, T, T_inv, 0, cap)
                 if core is not None:
                     out.append((core, (start, ci, 0)))
         return out
 
+    def insertion_candidates(self, room: int, before: str, right: str) -> tuple[tuple, ...]:
+        """Records, by ascending index, of the contexts T whose whole-relator
+        insertion T^-1 just before the letter `right` may stay within `room`
+        extra letters, and is not also an overlap move (T does not start with
+        `right`).  Over the room, the insertion must cancel at least
+        ceil((|T| - room) / 2) letters of its left neighbours `before`, so T
+        must end with the last min(2, |before|, that many) of them.  Only
+        rotation 0 of the cyclic search asks for these: past it, a move whose
+        outer ends trim is a repeat and is not built, so the insertions that
+        remain are `_plain_inserts`."""
+        key = (room, before, right)
+        hit = self._insertion_candidates.get(key)
+        if hit is None:
+            hit = self._insertion_candidates[key] = tuple(
+                r for r in self.system._records if r[1][0] != right
+                and r[1].endswith(before[max(0, len(before) - (r[3] - room + 1) // 2):]))
+        return hit
+
     # closure ---------------------------------------------------------------
 
-    def _closure(self, start: tuple[int, ...] | str, cap: int, budget: OracleBudget,
+    def _closure(self, start: str, cap: int, budget: OracleBudget,
                  cyclic: bool, stop: Optional[Callable] = None) -> _Component:
         """Forward rewriting component of `start` within length cap.  The one
         stop rule: the search ends, incomplete, at the first word past `start`
@@ -732,23 +735,18 @@ class RankOracle:
         budget covers them, whatever its stop rule; a search stopped early, by
         its budget or its stop rule, is not kept.  (A stopped search is a
         prefix of the same deterministic run, so verdicts and witnesses never
-        depend on memo warmth, only the diagnostic state counts do.)
-
-        A linear `start` is encoded; a cyclic one is a letter tuple."""
+        depend on memo warmth, only the diagnostic state counts do.)"""
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
         if hit is not None and hit.applications <= budget.max_relator_applications:
             return hit
 
         comp = _Component(start, cap, cyclic)
-        parents = comp.parents
-        if cyclic:
-            successors, order = self._cyclic_successors, shortlex_key
-        else:
-            successors, order = self._linear_successors, _encoded_key
+        parents = comp._parents
+        successors = self._cyclic_successors if cyclic else self._linear_successors
         max_applications = budget.max_relator_applications
         applications, complete, min_word = 0, True, start
-        min_key = order(start)
+        min_key = _encoded_key(start)
         heap = [(min_key, start)]
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap and complete:
@@ -761,14 +759,14 @@ class RankOracle:
                     complete = False
                     break
                 parents[succ] = (w, move)
-                key = order(succ)
+                key = _encoded_key(succ)
                 if key < min_key:
                     min_word, min_key = succ, key
                 heappush(heap, (key, succ))
                 if stop is not None and stop(succ):
                     complete = False
                     break
-        comp.applications, comp.complete, comp.min_word = applications, complete, min_word
+        comp.applications, comp.complete, comp._min_word = applications, complete, min_word
         comp.states = len(parents)
         if complete:
             self._components[memo_key] = comp
@@ -790,9 +788,8 @@ class RankOracle:
 
     def _edge_steps_linear(self, pred, move, succ) -> list[dict]:
         p, ci, _ = move
-        pred = decode_letters(pred)
         steps, red = self._insert_steps(ci, pred[:p], pred[p:])
-        if red != decode_letters(succ):
+        if red != succ:
             raise BurnlabError("trace assembly mismatch")
         return steps
 
@@ -802,14 +799,12 @@ class RankOracle:
         isteps, red = self._insert_steps(ci, (), pred[rot:] + pred[:rot])
         return steps + isteps + _cyclic_rep_steps(red, succ)
 
-    def _trace(self, comp: _Component, target: tuple[int, ...] | str, start_word: tuple[int, ...],
+    def _trace(self, comp: _Component, target: str, start_word: tuple[int, ...],
                prefix_steps: Optional[list[dict]] = None) -> dict:
         steps = list(prefix_steps or [])
+        edge_steps = self._edge_steps_cyclic if comp.cyclic else self._edge_steps_linear
         for pred, move, succ in comp.path_moves(target):
-            if comp.cyclic:
-                steps.extend(self._edge_steps_cyclic(pred, move, succ))
-            else:
-                steps.extend(self._edge_steps_linear(pred, move, succ))
+            steps.extend(edge_steps(decode_letters(pred), move, decode_letters(succ)))
         return {"start": format_letters(start_word), "steps": steps}
 
     # budget plumbing -------------------------------------------------------
@@ -850,12 +845,11 @@ class RankOracle:
         before the search report `size` as their cap.  `extras` go into the
         yes witness and the exhaustion certificate; a witness to an {a, b}
         word names it as "target"."""
-        if cyclic:
-            cap = size + budget.max_ball_radius
-        else:
-            cap = self._linear_cap(start, budget)
-            start, target = encode_letters(start), encode_letters(target)
-        comp = _Component(start, size, cyclic)  # start alone, before any search
+        cap = size + budget.max_ball_radius if cyclic else self._linear_cap(start, budget)
+        code = encode_letters(start)
+        if target is not None:
+            target = encode_letters(target)
+        comp = _Component(code, size, cyclic)  # start alone, before any search
         hit = _hit(comp, target)
         if hit is None:
             if self.system.empty:
@@ -869,15 +863,15 @@ class RankOracle:
                                  "lattice": [list(b) for b in lattice.basis()]},
                     budget_used=self._use(comp),
                 )
-            stop = is_ab_word if target is None else target.__eq__
-            comp = self._closure(start, cap, budget, cyclic, stop)
+            stop = _AB_CODES.issuperset if target is None else target.__eq__
+            comp = self._closure(code, cap, budget, cyclic, stop)
             hit = _hit(comp, target)
         extras = extras or {}
         if hit is not None:
             prefix = _cyclic_rep_steps(word, start) if cyclic else None
             witness = self._trace(comp, hit, word, prefix_steps=prefix)
             if target is None:
-                witness["target"] = format_letters(hit)
+                witness["target"] = format_letters(decode_letters(hit))
             witness.update(extras)
             return Verdict("yes", witness=witness, budget_used=self._use(comp))
         if comp.complete:
@@ -906,10 +900,10 @@ class RankOracle:
         if self.system.empty:
             return NormBounds(len(w), len(w), True, budget_used=BudgetUse(1, 0, len(w), True))
         comp = self._closure(encode_letters(w), self._linear_cap(w, budget), budget, cyclic=False)
-        upper = len(comp.min_word)
+        upper = len(comp._min_word)
         witness = None
         if upper < len(w):
-            witness = self._trace(comp, comp.min_word, w)
+            witness = self._trace(comp, comp._min_word, w)
         if comp.complete:
             return NormBounds(upper, upper, True, witness=witness, budget_used=self._use(comp))
         residue = self.system.lattice.reduce(self.system.expvec(w))
@@ -922,18 +916,20 @@ class RankOracle:
         budget = self._budget(budget)
         w = _letters(u)
         comp = self._closure(encode_letters(w), self._linear_cap(w, budget), budget, cyclic=False)
-        return decode_letters(comp.min_word), comp.complete
+        return comp.min_word, comp.complete
 
     def cyclic_component(self, u: Sequence[int] | Word,
                          budget: Optional[OracleBudget] = None,
                          stop: Optional[Callable] = None) -> _Component:
         """Cyclic rewriting component of cyclic_rep(u) within the length cap
-        |cyclic_rep(u)| + max_ball_radius; read its `parents` (the members),
-        `complete` and `cap`.  A search ends at its first `stop` word, as in
-        `_closure`; a memoized complete component is returned whole."""
+        |cyclic_rep(u)| + max_ball_radius.  A search ends at the first word
+        for which `stop`, given its letters, is true, as in `_closure`; a
+        memoized complete component is returned whole."""
         budget = self._budget(budget)
         cu = cyclic_rep(_letters(u))
-        return self._closure(cu, len(cu) + budget.max_ball_radius, budget, True, stop)
+        check = None if stop is None else lambda s: stop(decode_letters(s))
+        return self._closure(encode_letters(cu), len(cu) + budget.max_ball_radius, budget,
+                             True, check)
 
     def conjugate(self, u: Sequence[int] | Word, v: Sequence[int] | Word,
                   budget: Optional[OracleBudget] = None) -> Verdict:
@@ -953,14 +949,12 @@ class RankOracle:
                             self.system.expvec(tu), self._budget(budget), cyclic=True)
 
 
-def _hit(comp: _Component, target: Optional[tuple[int, ...] | str]
-         ) -> Optional[tuple[int, ...] | str]:
+def _hit(comp: _Component, target: Optional[str]) -> Optional[str]:
     """target if the component holds it; with target None, the least member
     written over {a, b}; else None."""
     if target is None:
-        return min((w for w in comp.parents if is_ab_word(w)),
-                   key=shortlex_key, default=None)
-    return target if target in comp.parents else None
+        return min(filter(_AB_CODES.issuperset, comp._parents), key=_encoded_key, default=None)
+    return target if target in comp._parents else None
 
 
 def _encoded_key(s: str) -> tuple[int, str]:
@@ -968,11 +962,14 @@ def _encoded_key(s: str) -> tuple[int, str]:
     return len(s), s
 
 
-def _plain_inserts(records: tuple[tuple, ...], room: int, left, right) -> tuple[tuple, ...]:
+# an encoded word is over {a, b} when this set holds all its letters
+_AB_CODES = frozenset(encode_letters(AB_LETTERS))
+
+
+def _plain_inserts(records: tuple[tuple, ...], room: int, left: str, right: str) -> tuple[tuple, ...]:
     """The records, in order, of the contexts T with |T| <= room,
     T[0] != right and T[-1] != left: the insertions that neither overlap nor
-    cancel.  Records and letters are both tuple-form or both encoded; a
-    missing neighbour is a value no letter equals."""
+    cancel.  A missing neighbour is ''."""
     return tuple(r for r in records
                  if r[3] <= room and r[1][0] != right and r[1][-1] != left)
 
@@ -983,8 +980,7 @@ def _letters(u: Sequence[int] | Word) -> tuple[int, ...]:
     return reduce_letters(u)
 
 
-def _cyclic_splice(v: tuple[int, ...], T: tuple[int, ...], T_inv: tuple[int, ...],
-                   l: int, cap: int) -> Optional[tuple[int, ...]]:
+def _cyclic_splice(v: str, T: str, T_inv: str, l: int, cap: int) -> Optional[str]:
     """Canonical rotation of the cyclic core of (T[l:])^-1 v[l:], or None when
     the core is longer than cap.  v is cyclically reduced and v[:l] == T[:l]
     with l maximal, so the two pieces join without cancelling and only their
@@ -997,8 +993,12 @@ def _cyclic_splice(v: tuple[int, ...], T: tuple[int, ...], T_inv: tuple[int, ...
         j += 1
     if j < jmax and n + m - l - 2 * j > cap:
         return None
-    core, _ = cyclic_split_reduced(T_inv[j:m] + v[l : n - j])
-    return min_rotation(core) if len(core) <= cap else None
+    word = T_inv[j:m] + v[l : n - j]
+    a, b = 0, len(word)
+    while b - a >= 2 and ord(word[a]) ^ 1 == ord(word[b - 1]):
+        a += 1
+        b -= 1
+    return min_rotation_encoded(word[a:b]) if b - a <= cap else None
 
 
 def find_conjugator(oracle: RankOracle, u: Sequence[int] | Word, v: Sequence[int] | Word,

@@ -209,31 +209,31 @@ def rotations(t: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def min_rotation(t: Sequence[int]) -> tuple[int, ...]:
     """Shortlex-least rotation (all rotations have equal length, so lex-least
-    under the letter order).
-
-    Only rotations starting at a least letter can win; they are compared as
-    slices of the doubled key tuple.
+    under the letter order), found by `min_rotation_encoded`.
 
     >>> min_rotation((3, 1, 3, 1))
     (1, 3, 1, 3)
     >>> min_rotation((2, 1, 3, 1))
     (1, 2, 1, 3)
     """
-    t = tuple(t)
-    n = len(t)
+    return decode_letters(min_rotation_encoded(encode_letters(t)))
+
+
+def min_rotation_encoded(s: str) -> str:
+    """The least rotation of an `encode_letters` string.  Only rotations
+    starting at a least letter can win; they are compared as slices of the
+    doubled string."""
+    n = len(s)
     if n <= 1:
-        return t
-    keys = tuple(map(_letter_key_of, t))
-    least = min(keys)
-    doubled = keys + keys
-    best = keys.index(least)
-    best_key = doubled[best : best + n]
-    for i in range(best + 1, n):
-        if keys[i] == least:
-            cand = doubled[i : i + n]
-            if cand < best_key:
-                best, best_key = i, cand
-    return t[best:] + t[:best]
+        return s
+    least, doubled, best = min(s), s + s, s
+    i = s.find(least)
+    while i != -1:
+        cand = doubled[i : i + n]
+        if cand < best:
+            best = cand
+        i = s.find(least, i + 1)
+    return best
 
 
 def cyclic_rep(t: Sequence[int]) -> tuple[int, ...]:

@@ -124,16 +124,10 @@ def reference_closure(system, start, cap, max_applications, cyclic, stop=None):
 
 
 def decoded_parents(comp):
-    """A component's parents map with its words as letter tuples: a linear
+    """A component's parents map with its words as letter tuples: the
     search keeps them encoded."""
-    if comp.cyclic:
-        return dict(comp.parents)
     return {decode_letters(w): entry and (decode_letters(entry[0]), entry[1])
-            for w, entry in comp.parents.items()}
-
-
-def decoded_min_word(comp):
-    return comp.min_word if comp.cyclic else decode_letters(comp.min_word)
+            for w, entry in comp._parents.items()}
 
 
 @pytest.fixture(scope="module")
@@ -412,16 +406,17 @@ class TestBudgets:
         # the reference enumerates 152 over-cap moves from these 11 members;
         # the budget charges only the 10 moves that reach a new member
         oracle = RankOracle(p_k3_m1_r2.relator_system(2))
-        start = Word.parse("a.s1.b.s1").letters
+        start = encode_letters(Word.parse("a.s1.b.s1").letters)
         comp = oracle._closure(start, 6, OracleBudget(), cyclic=True)
+        members = decoded_parents(comp)
         assert comp.complete
         assert (comp.applications, comp.states) == (10, 11)
-        assert sorted(Word._raw(t).format() for t in comp.parents) == [
+        assert sorted(Word._raw(t).format() for t in members) == [
             "A.B.s1.B.A.s1", "A.b.A.S1", "A.b.A.s1.s1", "A.s1.A.S1.b.S1",
             "a.B.S1.B", "a.B.s1.s1.B", "a.S1.B.s1.B.S1", "a.S1.S1.b.S1.S1",
             "a.S1.S1.b.s1", "a.s1.b.S1.S1", "a.s1.b.s1",
         ]
-        over_cap = sum(len(succ) > 6 for member in comp.parents
+        over_cap = sum(len(succ) > 6 for member in members
                        for succ, _ in reference_cyclic_moves(oracle.system, member, 6))
         assert over_cap == 152
 
@@ -433,9 +428,7 @@ class TestMemo:
     def test_complete_components_are_reused(self, p_k3_m1_r2):
         oracle = RankOracle(p_k3_m1_r2.relator_system(2))
         for word, cap, cyclic in (("a.s1.b.s1", 6, True), ("a.s1.b", 5, False)):
-            start = Word.parse(word).letters
-            if not cyclic:
-                start = encode_letters(start)
+            start = encode_letters(Word.parse(word).letters)
             first = oracle._closure(start, cap, OracleBudget(), cyclic)
             assert first.complete and first.states > 1
             assert oracle._closure(start, cap, OracleBudget(), cyclic) is first
@@ -448,10 +441,8 @@ class TestMemo:
                         for _ in range(2))
         assert not first.complete and (2,) in decoded_parents(first)
         assert again is not first
-        assert ((decoded_parents(again), again.states, again.applications,
-                 decoded_min_word(again))
-                == (decoded_parents(first), first.states, first.applications,
-                    decoded_min_word(first)))
+        assert ((decoded_parents(again), again.states, again.applications, again.min_word)
+                == (decoded_parents(first), first.states, first.applications, first.min_word))
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("budget", [
@@ -476,6 +467,32 @@ class TestMemo:
             cold = claims(RankOracle(system), u)
             assert claims(warm, u) == cold, u
             assert claims(warm, u) == cold, u
+
+
+class TestReachabilityWithinACap:
+    """Reachability within a cap is not symmetric: a move that deletes a
+    whole context whose neighbours then cancel has no inverse move in the
+    cap.  So a member of a complete component can reach less than the start
+    that holds it, and `RankOracle._components` stays keyed by start."""
+
+    @pytest.mark.parametrize("start, member, cap, cyclic, member_component", [
+        ("a.s1.s1.s1.A", "", 5, False, {"", "s1.s1.s1", "S1.S1.S1"}),
+        ("a.s1.s1.s1.A.b", "b", 6, True, {"b", "b.s1.s1.s1", "b.S1.S1.S1"}),
+    ], ids=["linear", "cyclic"])
+    def test_a_member_reaches_a_subset(self, p_k3_m1_r1, start, member, cap, cyclic,
+                                       member_component):
+        oracle = RankOracle(p_k3_m1_r1.relator_system(1))  # the relator s1^3
+
+        def members(word):
+            comp = oracle._closure(encode_letters(Word.parse(word).letters), cap,
+                                   OracleBudget(), cyclic)
+            assert comp.complete
+            return {Word._raw(t).format() for t in decoded_parents(comp)}
+
+        holder = members(start)
+        assert member in holder
+        assert members(member) == member_component
+        assert members(member) < holder and start not in members(member)
 
 
 class TestSuccessorGenerators:
@@ -528,15 +545,14 @@ class TestSuccessorGenerators:
             w = min_rotation(core)
         cap = len(w) + slack
         # the stop rules of `_decide`: the empty word, or any {a, b} word;
-        # the linear search runs on encoded words
+        # the search runs on encoded words
         rule = None if not stop else is_ab_word if cyclic else ().__eq__
         comp = RankOracle(system)._closure(
-            w if cyclic else encode_letters(w), cap,
-            OracleBudget(max_relator_applications=max_applications), cyclic,
-            rule if cyclic or rule is None else encode_letters(()).__eq__)
+            encode_letters(w), cap, OracleBudget(max_relator_applications=max_applications),
+            cyclic, rule and (lambda s: rule(decode_letters(s))))
         expected = reference_closure(system, w, cap, max_applications, cyclic, stop=rule)
         assert (comp.applications, comp.states, comp.complete, decoded_parents(comp),
-                decoded_min_word(comp)) == expected
+                comp.min_word) == expected
         assert comp.states <= max_applications + 1
         if comp.complete:
             assert comp.applications == comp.states - 1
@@ -581,11 +597,12 @@ class TestSuccessorGenerators:
         cap = len(w) + slack
         if cyclic:
             reference = list(reference_cyclic_moves(system, w, cap))
-            yields = oracle._cyclic_successors(w, cap)
+            successors = oracle._cyclic_successors
         else:
             reference = list(reference_linear_moves(system, w))
-            yields = [(decode_letters(succ), move)
-                      for succ, move in oracle._linear_successors(encode_letters(w), cap)]
+            successors = oracle._linear_successors
+        yields = [(decode_letters(succ), move)
+                  for succ, move in successors(encode_letters(w), cap)]
         in_cap = {(succ, move) for succ, move in reference if len(succ) <= cap}
         assert all(pair in in_cap for pair in yields)
 
@@ -612,7 +629,7 @@ class TestSuccessorGenerators:
         if cyclic:
             core, _ = cyclic_reduce_letters(w)
             w = min_rotation(core)
-            yields = RankOracle(system)._cyclic_successors(w, len(w) + room)
+            yields = RankOracle(system)._cyclic_successors(encode_letters(w), len(w) + room)
         else:
             yields = RankOracle(system)._linear_successors(encode_letters(w), len(w) + room)
         assert not [move for _, move in yields if move[2] == 0 and (move[0] or not cyclic)]

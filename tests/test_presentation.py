@@ -20,7 +20,7 @@ from burnlab.presentation import (
     SmallCancellationParams,
     canonical_cyclic_candidates,
 )
-from burnlab.words import Alphabet, Word, cyclic_rep, is_ab_letter
+from burnlab.words import Alphabet, Word, cyclic_rep, encode_letters, is_ab_letter
 
 from conftest import small_k_params
 from fuzz_docs import DELETE, doc_paths, json_values, mutated
@@ -48,7 +48,8 @@ def reference_is_simple(pres, word, rank, budget):
         return "not-simple", "free-power", None
     if all(is_ab_letter(x) for x in w):
         return "not-simple", "in-ab", None
-    comp = oracle._closure(w, len(w) + budget.max_ball_radius, budget, cyclic=True)
+    comp = oracle._closure(encode_letters(w), len(w) + budget.max_ball_radius, budget,
+                           cyclic=True)
     powers = {cyclic_rep(p.letters * t) for j in range(1, rank + 1)
               for p in pres.periods(j) for t in range(1, pres.params.k)}
     for member in comp.parents:
@@ -220,7 +221,8 @@ class TestEarlyStop:
             for t in canonical_cyclic_candidates(pres.alphabet, n):
                 if pres.is_simple(Word(t), n - 1, budget).reason == "period-power":
                     rejected += 1
-                    assert (t, n + budget.max_ball_radius, True) not in oracle._components, t
+                    key = (encode_letters(t), n + budget.max_ball_radius, True)
+                    assert key not in oracle._components, t
         assert rejected == {3: 84, 5: 0}[pres.params.k]
 
     def test_build_reuses_the_simple_candidates_component(self, budget):
@@ -243,7 +245,7 @@ class TestEarlyStop:
         assert len(reused) == len(simple) == 52
         for u, comp in reused:
             assert comp.complete and comp is checked[u]
-            assert oracle._components[u, comp.cap, True] is comp
+            assert oracle._components[encode_letters(u), comp.cap, True] is comp
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"

@@ -1,7 +1,7 @@
 """Free-word layer: reduction, canonical forms, the text codec, enumeration."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burnlab.errors import InputError
@@ -36,6 +36,7 @@ from burnlab.words import (
 
 A1 = Alphabet(1)
 A2 = Alphabet(2)
+TOP = MAX_ALPHABET_M + 2  # the last generator of the largest alphabet
 
 letters_m1 = st.sampled_from([1, -1, 2, -2, 3, -3])
 raw_m1 = st.lists(letters_m1, max_size=12)
@@ -117,6 +118,8 @@ class TestCyclic:
         assert all(shortlex_key(rep) <= shortlex_key(r) for r in rots)
 
     @given(any_m1)
+    # letters at the top of the alphabet, whose codes lie near 10^6
+    @example([-TOP, TOP, -(TOP - 1), TOP, TOP, -TOP, TOP - 1, TOP])
     @settings(max_examples=300)
     def test_min_rotation_matches_brute_force(self, seq):
         # raw sequences on purpose: min_rotation orders any tuple
