@@ -445,9 +445,9 @@ def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dic
 
 class _Component:
     """A rewriting component within a cap.  The search keeps its words
-    encoded: `_parents` maps each to its (predecessor, move), None at the
-    start, in the order they were added, and `_min_word` is the least.
-    `parents` and `min_word` read them as letter tuples."""
+    encoded: `_parents` maps each to the predecessor whose move first reached
+    it (None at the start), in the order they were added, and `_min_word` is
+    the least.  `parents` and `min_word` read them as letter tuples."""
 
     __slots__ = ("cap", "complete", "_parents", "parents", "_min_word", "states",
                  "applications", "cyclic")
@@ -455,7 +455,7 @@ class _Component:
     def __init__(self, start: str, cap, cyclic):
         self.cap = cap
         self.cyclic = cyclic
-        self._parents: dict[str, Optional[tuple]] = {start: None}
+        self._parents: dict[str, Optional[str]] = {start: None}
         self.parents = _DecodedMembers(self._parents)
         self.complete = True
         self._min_word = start
@@ -466,14 +466,6 @@ class _Component:
     def min_word(self) -> tuple[int, ...]:
         return decode_letters(self._min_word)
 
-    def path_moves(self, target: str) -> list[tuple]:
-        """The (pred, move, succ) steps from the start to `target`."""
-        moves = []
-        while (entry := self._parents[target]) is not None:
-            moves.append((*entry, target))
-            target = entry[0]
-        return moves[::-1]
-
 
 class _DecodedMembers:
     """The words of an encoded parents map as letter tuples, decoded as they
@@ -481,7 +473,7 @@ class _DecodedMembers:
 
     __slots__ = ("_parents",)
 
-    def __init__(self, parents: dict[str, Optional[tuple]]):
+    def __init__(self, parents: dict[str, Optional[str]]):
         self._parents = parents
 
     def __iter__(self):
@@ -502,7 +494,8 @@ class RankOracle:
     Complete rewriting components are memoized in one dict keyed
     (start, cap, cyclic), so repeated queries against the same presentation
     snapshot are cheap.  Writes to the memo are idempotent: a complete
-    component is a pure function of (start, cap, cyclic)."""
+    component is a pure function of (start, cap, cyclic), and holds only
+    each member's predecessor: `_trace` derives the moves again."""
 
     def __init__(self, system: RelatorSystem):
         self.system = system
@@ -523,14 +516,16 @@ class RankOracle:
     #
     # Both generators return a list of (succ, move) in a fixed enumeration
     # order, for the moves whose result is within the cap and not a repeat of
-    # an earlier overlap of the same context at the same place, nor of a
-    # move one place left (one rotation back in the cyclic search; see
-    # below).  The closure charges a move only when its word is new, so the
-    # generators must reach each new word first by the same move as the full
-    # enumeration.  The moves of one context T matching the word on l letters
-    # there, ov = 1..l and the insertion ov = 0, all give (T[l:])^-1 followed
-    # by the rest of the word, so only ov = 1 is built.  The loops unpack the
-    # context records (ci, T, T^-1, |T|) that `RelatorSystem.by_first`, the
+    # an earlier overlap of the same context at the same place, nor of a move
+    # one place left (one rotation back in the cyclic search; see below).  The
+    # closure charges a move only when its word is new, so the generators must
+    # reach each new word first by the same move as the full enumeration.
+    # `_trace` relies on this "first new occurrence, fixed order" rule: the
+    # closure keeps only a new word's predecessor, whose first move to it is
+    # the one charged.  The moves of one context T matching the word on l
+    # letters there, ov = 1..l and the insertion ov = 0, all give (T[l:])^-1
+    # followed by the rest of the word, so only ov = 1 is built.  The loops
+    # unpack the context records (ci, T, T^-1, |T|) that `by_first`, the
     # insertion memos and the overlap index hand out.
     #
     # A move's result has |w| + |T| - 2l - 2j letters, j being the letters
@@ -730,12 +725,12 @@ class RankOracle:
 
         A complete component is a pure function of (start, cap, cyclic): the
         search expands states in shortlex order, so any budget large enough to
-        finish produces the identical component.  Complete components are
-        therefore memoized under that key and reused by every query whose move
-        budget covers them, whatever its stop rule; a search stopped early, by
-        its budget or its stop rule, is not kept.  (A stopped search is a
-        prefix of the same deterministic run, so verdicts and witnesses never
-        depend on memo warmth, only the diagnostic state counts do.)"""
+        finish produces the identical component.  Complete components, their
+        members with predecessors, are memoized under that key and reused by
+        every query whose move budget covers them, whatever its stop rule; a
+        search stopped early, by its budget or its stop rule, is not kept.  (A
+        stopped search is a prefix of the same deterministic run: verdicts and
+        witnesses never depend on memo warmth, only state counts do.)"""
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
         if hit is not None and hit.applications <= budget.max_relator_applications:
@@ -751,14 +746,14 @@ class RankOracle:
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap and complete:
             _, w = heappop(heap)
-            for succ, move in successors(w, cap):
+            for succ, _ in successors(w, cap):
                 if succ in parents:
                     continue
                 applications += 1
                 if applications > max_applications:
                     complete = False
                     break
-                parents[succ] = (w, move)
+                parents[succ] = w
                 key = _encoded_key(succ)
                 if key < min_key:
                     min_word, min_key = succ, key
@@ -786,31 +781,36 @@ class RankOracle:
         csteps, red = _cancel_steps(left + self.system._inv_context_letters[ci] + right)
         return [step] + csteps, red
 
-    def _edge_steps_linear(self, pred, move, succ) -> list[dict]:
-        p, ci, _ = move
+    def _recorded_move(self, comp: _Component, pred: str, succ: str) -> tuple:
+        """The first move in `pred`'s successor list that gives `succ`."""
+        successors = self._cyclic_successors if comp.cyclic else self._linear_successors
+        for s, move in successors(pred, comp.cap):
+            if s == succ:
+                return move
+        raise BurnlabError("trace assembly mismatch")
+
+    def _edge_steps(self, comp: _Component, pred: str, succ: str) -> list[dict]:
+        """Steps replaying the recorded move of the edge `pred` -> `succ`."""
+        p, ci, _ = self._recorded_move(comp, pred, succ)
+        pred, succ = decode_letters(pred), decode_letters(succ)
+        if comp.cyclic:
+            isteps, red = self._insert_steps(ci, (), pred[p:] + pred[:p])
+            shift = [{"op": "cyclic-shift", "amount": p}] if p else []
+            return shift + isteps + _cyclic_rep_steps(red, succ)
         steps, red = self._insert_steps(ci, pred[:p], pred[p:])
         if red != succ:
             raise BurnlabError("trace assembly mismatch")
         return steps
 
-    def _edge_steps_cyclic(self, pred, move, succ) -> list[dict]:
-        rot, ci, _ = move
-        steps = [{"op": "cyclic-shift", "amount": rot}] if rot else []
-        isteps, red = self._insert_steps(ci, (), pred[rot:] + pred[:rot])
-        return steps + isteps + _cyclic_rep_steps(red, succ)
-
     def _trace(self, comp: _Component, target: str, start_word: tuple[int, ...],
                prefix_steps: Optional[list[dict]] = None) -> dict:
-        steps = list(prefix_steps or [])
-        edge_steps = self._edge_steps_cyclic if comp.cyclic else self._edge_steps_linear
-        for pred, move, succ in comp.path_moves(target):
-            steps.extend(edge_steps(decode_letters(pred), move, decode_letters(succ)))
-        return {"start": format_letters(start_word), "steps": steps}
+        steps = []
+        while (pred := comp._parents[target]) is not None:
+            steps[:0] = self._edge_steps(comp, pred, target)
+            target = pred
+        return {"start": format_letters(start_word), "steps": (prefix_steps or []) + steps}
 
     # budget plumbing -------------------------------------------------------
-
-    def _budget(self, budget: Optional[OracleBudget]) -> OracleBudget:
-        return budget or DEFAULT_BUDGET
 
     def _linear_cap(self, w: tuple[int, ...], budget: OracleBudget) -> int:
         """Length cap of a linear search from w: the ball radius above |w|,
@@ -890,10 +890,10 @@ class RankOracle:
               budget: Optional[OracleBudget] = None) -> Verdict:
         w = splice_reduce(_letters(u), inverse_letters(_letters(v)), ())
         return self._decide("equal", w, w, len(w), (), self.system.lattice,
-                            self.system.expvec(w), self._budget(budget), cyclic=False)
+                            self.system.expvec(w), budget or DEFAULT_BUDGET, cyclic=False)
 
     def norm(self, u: Sequence[int] | Word, budget: Optional[OracleBudget] = None) -> NormBounds:
-        budget = self._budget(budget)
+        budget = budget or DEFAULT_BUDGET
         w = _letters(u)
         if not w:
             return NormBounds(0, 0, True, budget_used=BudgetUse(1, 0, 0, True))
@@ -913,7 +913,7 @@ class RankOracle:
     def canonical(self, u: Sequence[int] | Word, budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
         """Shortlex-least word in the bounded rewriting component; flag states
         whether the component was exhausted."""
-        budget = self._budget(budget)
+        budget = budget or DEFAULT_BUDGET
         w = _letters(u)
         comp = self._closure(encode_letters(w), self._linear_cap(w, budget), budget, cyclic=False)
         return comp.min_word, comp.complete
@@ -925,7 +925,7 @@ class RankOracle:
         |cyclic_rep(u)| + max_ball_radius.  A search ends at the first word
         for which `stop`, given its letters, is true, as in `_closure`; a
         memoized complete component is returned whole."""
-        budget = self._budget(budget)
+        budget = budget or DEFAULT_BUDGET
         cu = cyclic_rep(_letters(u))
         check = None if stop is None else lambda s: stop(decode_letters(s))
         return self._closure(encode_letters(cu), len(cu) + budget.max_ball_radius, budget,
@@ -933,7 +933,7 @@ class RankOracle:
 
     def conjugate(self, u: Sequence[int] | Word, v: Sequence[int] | Word,
                   budget: Optional[OracleBudget] = None) -> Verdict:
-        budget = self._budget(budget)
+        budget = budget or DEFAULT_BUDGET
         tu, tv = _letters(u), _letters(v)
         cu, cv = cyclic_rep(tu), cyclic_rep(tv)
         diff = [x - y for x, y in zip(self.system.expvec(tu), self.system.expvec(tv))]
@@ -946,7 +946,7 @@ class RankOracle:
         tu = _letters(u)
         cu = cyclic_rep(tu)
         return self._decide("conjugate-into-ab", tu, cu, len(cu), None, self.system.lattice_mod_ab,
-                            self.system.expvec(tu), self._budget(budget), cyclic=True)
+                            self.system.expvec(tu), budget or DEFAULT_BUDGET, cyclic=True)
 
 
 def _hit(comp: _Component, target: Optional[str]) -> Optional[str]:

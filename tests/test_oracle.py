@@ -3,13 +3,14 @@ witnesses, refutation certificates, and budget monotonicity."""
 
 import copy
 import heapq
+import json
 import random
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from burnlab.errors import InputError
+from burnlab.errors import BurnlabError, InputError
 from burnlab.oracle import (
     IntegerLattice,
     OracleBudget,
@@ -123,11 +124,14 @@ def reference_closure(system, start, cap, max_applications, cyclic, stop=None):
     return applications, len(parents), True, parents, min_word
 
 
-def decoded_parents(comp):
-    """A component's parents map with its words as letter tuples: the
-    search keeps them encoded."""
-    return {decode_letters(w): entry and (decode_letters(entry[0]), entry[1])
-            for w, entry in comp._parents.items()}
+def decoded_parents(oracle, comp):
+    """A component's parents map as the reference closure writes it: each
+    member, as letter tuples, to its (predecessor, move).  The search keeps
+    the words encoded and only the predecessor; the move is derived again,
+    as witness assembly derives it."""
+    return {decode_letters(w): None if pred is None else (
+                decode_letters(pred), oracle._recorded_move(comp, pred, w))
+            for w, pred in comp._parents.items()}
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +359,21 @@ class TestWitnessReplay:
         assert verify_equality_witness(o2.system, u.letters, (), verdict.witness)
         assert not verify_equality_witness(o2.system, u.letters, (), w)
 
+    def test_tampered_predecessor_is_an_assembly_mismatch(self, p_k3_m1_r1, budget):
+        # trace assembly derives each edge's move from the recorded
+        # predecessor; one with no move to its word must be reported as a
+        # mismatch, not escape as StopIteration
+        oracle = RankOracle(p_k3_m1_r1.relator_system(1))
+        u = Word.parse("b.s1.s1.s1.B").letters
+        comp = oracle._closure(encode_letters(u), oracle._linear_cap(u, budget), budget,
+                               cyclic=False)
+        start, *members = comp._parents
+        reached = {succ for succ, _ in oracle._linear_successors(start, comp.cap)}
+        far = next(w for w in members if w not in reached)
+        comp._parents[far] = start
+        with pytest.raises(BurnlabError, match="trace assembly mismatch"):
+            oracle._trace(comp, far, u)
+
     def test_free_cancel_requires_actual_cancellation(self, o1):
         with pytest.raises(ReplayError):
             replay_trace(o1.system, Word.parse("a.b").letters,
@@ -408,7 +427,7 @@ class TestBudgets:
         oracle = RankOracle(p_k3_m1_r2.relator_system(2))
         start = encode_letters(Word.parse("a.s1.b.s1").letters)
         comp = oracle._closure(start, 6, OracleBudget(), cyclic=True)
-        members = decoded_parents(comp)
+        members = decoded_parents(oracle, comp)
         assert comp.complete
         assert (comp.applications, comp.states) == (10, 11)
         assert sorted(Word._raw(t).format() for t in members) == [
@@ -439,10 +458,10 @@ class TestMemo:
         first, again = (oracle._closure(encode_letters(start), 10, OracleBudget(),
                                         cyclic=False, stop=encode_letters((2,)).__eq__)
                         for _ in range(2))
-        assert not first.complete and (2,) in decoded_parents(first)
+        assert not first.complete and (2,) in decoded_parents(oracle, first)
         assert again is not first
-        assert ((decoded_parents(again), again.states, again.applications, again.min_word)
-                == (decoded_parents(first), first.states, first.applications, first.min_word))
+        assert ((decoded_parents(oracle, again), again.states, again.applications, again.min_word)
+                == (decoded_parents(oracle, first), first.states, first.applications, first.min_word))
 
     @pytest.mark.parametrize("rank", [1, 2])
     @pytest.mark.parametrize("budget", [
@@ -468,6 +487,46 @@ class TestMemo:
             assert claims(warm, u) == cold, u
             assert claims(warm, u) == cold, u
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("budget", [
+        OracleBudget(max_ball_radius=2, max_relator_applications=60), OracleBudget()],
+        ids=["tiny", "default"])
+    @given(seq=st.lists(letters_m1, max_size=6))
+    # yes witnesses with edges: b.s1^3.B = 1, b.a.B is conjugate to a, and
+    # at rank 2 (a.s1)^3 = 1; norm witnesses: s1^4 = s1, (a.s1)^2 = S1.A
+    @example(seq=[2, 3, 3, 3, -2])
+    @example(seq=[2, 1, -2])
+    @example(seq=[1, 3, 1, 3, 1, 3])
+    @example(seq=[3, 3, 3, 3])
+    @example(seq=[1, 3, 1, 3])
+    @settings(max_examples=80, deadline=None)
+    def test_memo_served_witnesses_match_cold_ones(self, p_k3_m1_r2, rank, budget, seq):
+        # a warm oracle serves these queries from components it memoized,
+        # which keep no moves; their witnesses must be the cold search's
+        system = p_k3_m1_r2.relator_system(rank)
+        u = Word(seq).letters
+
+        def witnesses(oracle):
+            verdicts = [oracle.equal(u, (), budget), oracle.conjugate_into_ab(u, budget)]
+            claims = [(v.status, v.witness) for v in verdicts]
+            return json.dumps(claims + [oracle.norm(u, budget).witness], sort_keys=True)
+
+        warm = RankOracle(system)
+        warm.canonical(u, budget)
+        warm.cyclic_component(u, budget)
+        warm.norm(u, budget)
+        assert witnesses(warm) == witnesses(RankOracle(system))
+        equal, into_ab = warm.equal(u, (), budget), warm.conjugate_into_ab(u, budget)
+        if equal.is_yes:
+            assert verify_equality_witness(system, u, (), equal.witness)
+        if into_ab.is_yes:
+            assert verify_into_ab_witness(system, u, into_ab.witness)
+        norm = warm.norm(u, budget)
+        if norm.witness is not None:
+            assert Word.parse(norm.witness["start"]).letters == u
+            end = replay_trace(system, u, norm.witness["steps"])
+            assert len(end) == norm.upper and end == warm.canonical(u, budget)[0]
+
 
 class TestReachabilityWithinACap:
     """Reachability within a cap is not symmetric: a move that deletes a
@@ -487,7 +546,7 @@ class TestReachabilityWithinACap:
             comp = oracle._closure(encode_letters(Word.parse(word).letters), cap,
                                    OracleBudget(), cyclic)
             assert comp.complete
-            return {Word._raw(t).format() for t in decoded_parents(comp)}
+            return {Word._raw(t).format() for t in decoded_parents(oracle, comp)}
 
         holder = members(start)
         assert member in holder
@@ -547,11 +606,12 @@ class TestSuccessorGenerators:
         # the stop rules of `_decide`: the empty word, or any {a, b} word;
         # the search runs on encoded words
         rule = None if not stop else is_ab_word if cyclic else ().__eq__
-        comp = RankOracle(system)._closure(
+        oracle = RankOracle(system)
+        comp = oracle._closure(
             encode_letters(w), cap, OracleBudget(max_relator_applications=max_applications),
             cyclic, rule and (lambda s: rule(decode_letters(s))))
         expected = reference_closure(system, w, cap, max_applications, cyclic, stop=rule)
-        assert (comp.applications, comp.states, comp.complete, decoded_parents(comp),
+        assert (comp.applications, comp.states, comp.complete, decoded_parents(oracle, comp),
                 comp.min_word) == expected
         assert comp.states <= max_applications + 1
         if comp.complete:
