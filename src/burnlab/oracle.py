@@ -276,9 +276,12 @@ class RelatorSystem:
         self._inv_context_letters = tuple(decode_letters(r[2]) for r in records)
         self._records = tuple(records)
         by_first: dict[str, list[tuple]] = {}
+        by_last: dict[str, list[tuple]] = {}
         for rec in self._records:
             by_first.setdefault(rec[1][0], []).append(rec)
+            by_last.setdefault(rec[1][-1], []).append(rec)
         self.by_first = {k: tuple(v) for k, v in by_first.items()}
+        self.by_last = {k: tuple(v) for k, v in by_last.items()}
         self.max_relator_len = max((len(r.word) for r in self.relators), default=0)
         self.min_relator_len = min((len(r.word) for r in self.relators), default=0)
         self.lattice = IntegerLattice(
@@ -447,7 +450,11 @@ class _Component:
     """A rewriting component within a cap.  The search keeps its words
     encoded: `_parents` maps each to the predecessor whose move first reached
     it (None at the start), in the order they were added, and `_min_word` is
-    the least.  `parents` and `min_word` read them as letter tuples."""
+    the least.  `parents` and `min_word` read them as letter tuples.
+
+    The memo keeps a complete cyclic component whole, and a complete linear
+    one as its `least_chain`: `_parents` then holds only the least word's
+    predecessor chain, and the counts and flags are the whole run's."""
 
     __slots__ = ("cap", "complete", "_parents", "parents", "_min_word", "states",
                  "applications", "cyclic")
@@ -466,10 +473,27 @@ class _Component:
     def min_word(self) -> tuple[int, ...]:
         return decode_letters(self._min_word)
 
+    def least_chain(self) -> _Component:
+        """This component with `_parents` cut to the chain from `_min_word`
+        back to the start: {min_word: pred, pred: pred2, ..., start: None}.
+        A linear reader needs no more: `canonical` and `norm` read the least
+        word and trace it, and `equal` targets the empty word, a member
+        exactly when it is the least."""
+        chain = _Component(self._min_word, self.cap, self.cyclic)
+        parents, w = chain._parents, self._min_word
+        while w is not None:
+            parents[w] = self._parents[w]
+            w = parents[w]
+        chain.complete, chain.states, chain.applications = (
+            self.complete, self.states, self.applications)
+        return chain
+
 
 class _DecodedMembers:
     """The words of an encoded parents map as letter tuples, decoded as they
-    are read, so a memoized component holds no second copy of its members."""
+    are read, so a memoized component holds no second copy of its members.
+    A memoized linear component's map is only its least word's chain; a
+    cyclic one's holds every member."""
 
     __slots__ = ("_parents",)
 
@@ -495,7 +519,10 @@ class RankOracle:
     (start, cap, cyclic), so repeated queries against the same presentation
     snapshot are cheap.  Writes to the memo are idempotent: a complete
     component is a pure function of (start, cap, cyclic), and holds only
-    each member's predecessor: `_trace` derives the moves again."""
+    each member's predecessor: `_trace` derives the moves again.  A cyclic
+    entry keeps every member, which `is_simple` and `_conjugacy_test` read;
+    a linear entry keeps only its least word's predecessor chain
+    (`_Component.least_chain`)."""
 
     def __init__(self, system: RelatorSystem):
         self.system = system
@@ -511,6 +538,8 @@ class RankOracle:
         self._cyclic_overlaps: dict[tuple, tuple[tuple, ...]] = {}
         # (room, v[-2:], v[0]) -> `insertion_candidates`, for rotation 0
         self._insertion_candidates: dict[tuple, tuple[tuple, ...]] = {}
+        # room -> the records with |T| <= room, for `insertion_candidates`
+        self._fitting: dict[int, frozenset[tuple]] = {}
 
     # successor generation -------------------------------------------------
     #
@@ -706,12 +735,24 @@ class RankOracle:
         must end with the last min(2, |before|, that many) of them.  Only
         rotation 0 of the cyclic search asks for these: past it, a move whose
         outer ends trim is a repeat and is not built, so the insertions that
-        remain are `_plain_inserts`."""
+        remain are `_plain_inserts`.
+
+        So when `before` is not empty, a context over the room must end with
+        before[-1]: a miss tests only the contexts that fit (`_fitting`) and
+        those ending with before[-1] (`by_last`), in index order."""
         key = (room, before, right)
         hit = self._insertion_candidates.get(key)
         if hit is None:
+            records = self.system._records
+            if before:
+                fitting = self._fitting.get(room)
+                if fitting is None:
+                    fitting = self._fitting[room] = frozenset(r for r in records if r[3] <= room)
+                records = self.system.by_last.get(before[-1], ())
+                if fitting:
+                    records = sorted(fitting.union(records))
             hit = self._insertion_candidates[key] = tuple(
-                r for r in self.system._records if r[1][0] != right
+                r for r in records if r[1][0] != right
                 and r[1].endswith(before[max(0, len(before) - (r[3] - room + 1) // 2):]))
         return hit
 
@@ -725,12 +766,14 @@ class RankOracle:
 
         A complete component is a pure function of (start, cap, cyclic): the
         search expands states in shortlex order, so any budget large enough to
-        finish produces the identical component.  Complete components, their
-        members with predecessors, are memoized under that key and reused by
-        every query whose move budget covers them, whatever its stop rule; a
-        search stopped early, by its budget or its stop rule, is not kept.  (A
-        stopped search is a prefix of the same deterministic run: verdicts and
-        witnesses never depend on memo warmth, only state counts do.)"""
+        finish produces the identical component.  Complete components are
+        memoized under that key and reused by every query whose move budget
+        covers them, whatever its stop rule; a search stopped early, by its
+        budget or its stop rule, is not kept.  (A stopped search is a prefix
+        of the same deterministic run: verdicts and witnesses never depend on
+        memo warmth, only state counts do.)  A cyclic entry holds every
+        member with its predecessor; a linear entry only the least word's
+        chain, though the fresh run returns its whole component."""
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
         if hit is not None and hit.applications <= budget.max_relator_applications:
@@ -764,7 +807,7 @@ class RankOracle:
         comp.applications, comp.complete, comp._min_word = applications, complete, min_word
         comp.states = len(parents)
         if complete:
-            self._components[memo_key] = comp
+            self._components[memo_key] = comp if cyclic else comp.least_chain()
         return comp
 
     # trace assembly --------------------------------------------------------
@@ -923,8 +966,9 @@ class RankOracle:
                          stop: Optional[Callable] = None) -> _Component:
         """Cyclic rewriting component of cyclic_rep(u) within the length cap
         |cyclic_rep(u)| + max_ball_radius.  A search ends at the first word
-        for which `stop`, given its letters, is true, as in `_closure`; a
-        memoized complete component is returned whole."""
+        for which `stop`, given its letters, is true, as in `_closure`.
+        Complete cyclic components stay whole in the memo, unlike linear
+        ones, so a memoized one is returned with every member."""
         budget = budget or DEFAULT_BUDGET
         cu = cyclic_rep(_letters(u))
         check = None if stop is None else lambda s: stop(decode_letters(s))

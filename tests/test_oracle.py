@@ -10,6 +10,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from burnlab import cli
+from burnlab.cayley import enumerate_ball
 from burnlab.errors import BurnlabError, InputError
 from burnlab.oracle import (
     IntegerLattice,
@@ -444,13 +446,26 @@ class TestMemo:
     """Complete components are memoized and reused; nothing else is, and no
     verdict depends on what the memo holds."""
 
-    def test_complete_components_are_reused(self, p_k3_m1_r2):
+    def test_complete_components_are_reused(self, p_k3_m1_r2, monkeypatch):
         oracle = RankOracle(p_k3_m1_r2.relator_system(2))
-        for word, cap, cyclic in (("a.s1.b.s1", 6, True), ("a.s1.b", 5, False)):
-            start = encode_letters(Word.parse(word).letters)
-            first = oracle._closure(start, cap, OracleBudget(), cyclic)
-            assert first.complete and first.states > 1
-            assert oracle._closure(start, cap, OracleBudget(), cyclic) is first
+        start = encode_letters(Word.parse("a.s1.b.s1").letters)
+        first = oracle._closure(start, 6, OracleBudget(), cyclic=True)
+        assert first.complete and first.states > 1
+        assert oracle._closure(start, 6, OracleBudget(), cyclic=True) is first
+        # a linear component is memoized as its least word's chain, which the
+        # second call returns without searching again
+        start = encode_letters(Word.parse("a.s1.b").letters)
+        first = oracle._closure(start, 5, OracleBudget(), cyclic=False)
+        assert first.complete and first.states > 1
+
+        def no_search(*args):
+            raise AssertionError("a memoized component was searched again")
+
+        monkeypatch.setattr(oracle, "_linear_successors", no_search)
+        again = oracle._closure(start, 5, OracleBudget(), cyclic=False)
+        assert again is oracle._components[start, 5, False] and again is not first
+        assert ((again.states, again.applications, again.min_word, again.complete)
+                == (first.states, first.applications, first.min_word, first.complete))
 
     def test_early_stopped_components_are_not_reused(self, p_k3_m1_r1):
         oracle = RankOracle(p_k3_m1_r1.relator_system(1))
@@ -527,6 +542,52 @@ class TestMemo:
             end = replay_trace(system, u, norm.witness["steps"])
             assert len(end) == norm.upper and end == warm.canonical(u, budget)[0]
 
+    def test_summary_served_witnesses_match_cold_ones(self, p_k3_m1_r1, budget):
+        # at rank 1 (the relator s1^3) b.s1^3.B = 1: after `canonical` the
+        # memo holds its component as the chain from the empty word, and
+        # `equal` and `norm` are served from that chain alone
+        system = p_k3_m1_r1.relator_system(1)
+        u = Word.parse("b.s1.s1.s1.B")
+        warm = RankOracle(system)
+        assert warm.canonical(u, budget) == ((), True)
+        (entry,) = warm._components.values()
+        assert len(entry._parents) < entry.states
+
+        def answers(oracle):
+            verdict, norm = oracle.equal(u, (), budget), oracle.norm(u, budget)
+            assert verdict.is_yes and norm.exact and norm.upper == 0
+            assert verify_equality_witness(system, u.letters, (), verdict.witness)
+            assert replay_trace(system, u.letters, verdict.witness["steps"]) == ()
+            assert replay_trace(system, u.letters, norm.witness["steps"]) == ()
+            return json.dumps([verdict.status, verdict.witness, verdict.certificate,
+                               norm.lower, norm.upper, norm.witness], sort_keys=True)
+
+        assert answers(warm) == answers(RankOracle(system))
+        # the memo served the warm `equal`: a fresh one stops at the empty word
+        used = warm.equal(u, (), budget).budget_used
+        assert used.complete and used.states == entry.states
+        assert not RankOracle(system).equal(u, (), budget).budget_used.complete
+
+    def test_linear_entries_are_least_word_chains(self, p_k3_m1_r2, budget):
+        enumerate_ball(p_k3_m1_r2, 2, 3, budget)
+        oracle = p_k3_m1_r2.oracle(2)
+        entries = [(key, comp) for key, comp in oracle._components.items() if not key[2]]
+        assert entries and any(len(comp._parents) < comp.states for _, comp in entries)
+        for (start, cap, _), comp in entries:
+            # the chain runs from the least word back to the start
+            chain, w = [], comp._min_word
+            while w is not None:
+                chain.append(w)
+                w = comp._parents[w]
+            assert chain[-1] == start and len(chain) == len(comp._parents)
+            fresh = RankOracle(oracle.system)._closure(
+                start, cap, OracleBudget(max_relator_applications=max(1, comp.applications)),
+                cyclic=False)
+            assert fresh.complete
+            assert ((comp.states, comp.applications, comp._min_word)
+                    == (fresh.states, fresh.applications, fresh._min_word))
+            assert all(fresh._parents[w] == pred for w, pred in comp._parents.items())
+
 
 class TestReachabilityWithinACap:
     """Reachability within a cap is not symmetric: a move that deletes a
@@ -548,10 +609,12 @@ class TestReachabilityWithinACap:
             assert comp.complete
             return {Word._raw(t).format() for t in decoded_parents(oracle, comp)}
 
-        holder = members(start)
+        # a memoized linear component keeps only its least word's chain, so
+        # each component is read once, from its fresh run
+        holder, reached = members(start), members(member)
         assert member in holder
-        assert members(member) == member_component
-        assert members(member) < holder and start not in members(member)
+        assert reached == member_component
+        assert reached < holder and start not in reached
 
 
 class TestSuccessorGenerators:
@@ -724,6 +787,30 @@ class TestSuccessorGenerators:
             T = system.contexts[ci].letters
             if start and w[start - 1] == T[-1]:
                 assert succ == words[start - 1, index[T[-1:] + T[:-1]], 1]
+
+    def test_insertion_candidates_index_matches_scan(self, tmp_path, monkeypatch):
+        # every key the commands of one bench `build` pass ask (both builds,
+        # each with its `structure` audit): the records the last-letter index
+        # yields are those the scan over every record finds, in index order
+        asked = []
+        indexed = RankOracle.insertion_candidates
+
+        def record(oracle, room, before, right):
+            asked.append((oracle, (room, before, right)))
+            return indexed(oracle, room, before, right)
+
+        monkeypatch.setattr(RankOracle, "insertion_candidates", record)
+        for rank, k in ((3, 3), (4, 5)):
+            out = str(tmp_path / ("rank%d-k%d" % (rank, k)))
+            assert cli.main(["build", "--max-rank", str(rank), "--k", str(k),
+                             "--workers", "2", "--out-dir", out]) == 0
+            assert cli.main(["structure", "--presentation", out + "/presentation.json",
+                             "--out-dir", out]) == 0
+        assert len({key for _, key in asked}) > 100
+        for oracle, (room, before, right) in asked:
+            scan = tuple(r for r in oracle.system._records if r[1][0] != right
+                         and r[1].endswith(before[max(0, len(before) - (r[3] - room + 1) // 2):]))
+            assert indexed(oracle, room, before, right) == scan
 
 
 class TestConjugators:
