@@ -20,13 +20,13 @@ Counting conventions:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 from typing import Optional, Sequence
 
 from .errors import InputError
 from .oracle import OracleBudget
+from .records import Frozen, Record
 from .words import (
     AB_LETTERS,
     Alphabet,
@@ -43,8 +43,7 @@ FLAG_EXACT = "exact"
 FLAG_UPPER = "upper-bound"
 
 
-@dataclass(frozen=True)
-class BallResult:
+class BallResult(Record):
     rank: int
     radius: int
     elements: tuple[tuple[int, ...], ...]  # canonical, shortlex sorted
@@ -101,8 +100,7 @@ def enumerate_ball(presentation, rank: int, radius: int,
                       tuple(spheres), flag)
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(Record):
     series: str  # "gamma_G" | "gamma_H"
     rank: int
     rows: tuple[tuple[int, int, str], ...]  # (radius, ball count, flag)
@@ -193,8 +191,7 @@ def hg_union_elements(presentation, rank: int, n: int,
     return out, flag
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(Record):
     n: int
     ball: int
     ball_flag: str
@@ -280,7 +277,7 @@ def density_rows_to_json(rows: Sequence[DensityRow]) -> str:
 # exact arithmetic over Q(sqrt(d)) for the decay bound chain
 
 
-class QuadExt:
+class QuadExt(Frozen):
     """Numbers x + y*sqrt(d) with rational x, y and a fixed nonnegative
     integer d.  Perfect-square d folds to plain rationals at construction.
     Comparisons are exact sign computations, no floats."""
@@ -297,9 +294,6 @@ class QuadExt:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadExt is immutable")
 
     def _coerce(self, other) -> "QuadExt":
         if isinstance(other, QuadExt):
@@ -383,8 +377,7 @@ class QuadExt:
         return "%s + %s*sqrt(%d)" % (self.x, self.y, self.d)
 
 
-@dataclass(frozen=True)
-class BoundChainReport:
+class BoundChainReport(Record):
     alpha: int
     n: int
     constants: dict

@@ -9,7 +9,9 @@ violated constraint named.  Sampling commands refuse to run without a seed.
 Artifacts produced with the same config and seed are byte-identical.
 Evaluation is sequential: --workers is accepted for compatibility and has no
 effect (a thread pool was measured slower, the work being pure Python under
-the GIL).
+the GIL).  Start-up stays lean: only diagram-check imports the diagram module,
+and records derive from `burnlab.records.Record`, not the dataclass module,
+whose import and generated code tripled `import burnlab.cli` (33 ms, not 11).
 
 Exit codes: 0 success, 1 invariant violation, 2 input or state error, 3
 internal error (any other exception, reported in one line, no traceback).
@@ -23,7 +25,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -37,6 +38,7 @@ from .probability import (
     law_probability_sweep,
     quotient_return_probability,
 )
+from .records import Record
 from .words import Alphabet, Word
 
 CONFIG_ENV = "BURNLAB_CONFIG"
@@ -60,8 +62,7 @@ _DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(Record):
     m: int
     params: SmallCancellationParams
     budget: OracleBudget

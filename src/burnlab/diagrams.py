@@ -27,7 +27,6 @@ Conventions, fixed once here and relied on by every checker:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -35,11 +34,11 @@ from .errors import InputError, InvariantViolation, StateError
 from .oracle import (OracleBudget, ReplayError, Verdict, insert_material, inverse_letters,
                      replay_trace)
 from .presentation import read_field
+from .records import Frozen, Record
 from .words import CyclicWord, Word, _letter_token, _token_letter, min_rotation, reduce_letters
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     id: str
     src: str
     dst: str
@@ -47,15 +46,14 @@ class Edge:
     inverse_id: str
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     id: str
     boundary: tuple[str, ...]
     role: str  # "cell" | "outer"
     rank: Optional[int] = None
 
 
-class Diagram:
+class Diagram(Frozen):
     """Immutable labeled map.  Topology is "circular" or "annular"."""
 
     __slots__ = ("topology", "vertices", "edges", "faces", "contours", "_by_id")
@@ -71,9 +69,6 @@ class Diagram:
         object.__setattr__(self, "faces", tuple(sorted(faces, key=lambda f: f.id)))
         object.__setattr__(self, "contours", tuple(tuple(c) for c in contours))
         object.__setattr__(self, "_by_id", {e.id: e for e in self.edges})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Diagram is immutable")
 
     def edge(self, eid: str) -> Edge:
         e = self._by_id.get(eid)
@@ -175,8 +170,7 @@ class Diagram:
             len(self.cells()))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     ok: bool
     errors: tuple[str, ...]
     warnings: tuple[str, ...]
@@ -356,8 +350,7 @@ def validate_diagram(diagram: Diagram, presentation) -> ValidationReport:
     )
 
 
-@dataclass(frozen=True)
-class ContiguityRecord:
+class ContiguityRecord(Record):
     cell: str
     target: str  # face id or "section:<i>"
     q1_edges: tuple[str, ...]  # arc on the cell cycle
@@ -446,8 +439,7 @@ def find_contiguity(diagram: Diagram, cell_id: str,
     return records
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(Record):
     subject: str
     status: str  # pass | fail | unknown
     detail: str
@@ -469,8 +461,7 @@ def _validated(diagram: Diagram, presentation,
     return validation
 
 
-@dataclass(frozen=True)
-class ConditionAReport:
+class ConditionAReport(Record):
     a1: tuple[CheckItem, ...]
     a2: tuple[CheckItem, ...]
     a3: tuple[CheckItem, ...]
@@ -578,8 +569,7 @@ def check_condition_A(diagram: Diagram, presentation,
     return ConditionAReport(tuple(a1), tuple(a2), tuple(a3))
 
 
-@dataclass(frozen=True)
-class SmoothSectionReport:
+class SmoothSectionReport(Record):
     geodesic: tuple[CheckItem, ...]
     contiguity: tuple[CheckItem, ...]
 
@@ -612,8 +602,7 @@ def check_smooth_section(diagram: Diagram, section: Sequence[str], rank: int,
     return SmoothSectionReport(tuple(geo), tuple(cont))
 
 
-@dataclass(frozen=True)
-class GammaCellReport:
+class GammaCellReport(Record):
     ok: bool
     precondition: str
     cells: tuple[tuple[str, Fraction], ...]  # (cell id, degree sum) over gamma-bar
@@ -647,8 +636,7 @@ def find_gamma_cells(diagram: Diagram, sections: Sequence[Sequence[str]],
 # trace -> explicit diagram
 
 
-@dataclass(frozen=True)
-class CertificateResult:
+class CertificateResult(Record):
     status: str  # found | certified-none | none-within-cap | unknown | cell-cap
     diagram: Optional[Diagram]
     cells: int
@@ -832,8 +820,7 @@ def search_vk_certificate(presentation, w: Word, rank: int,
     return CertificateResult("found", diagram, n_cells, verdict)
 
 
-@dataclass(frozen=True)
-class ReducednessReport:
+class ReducednessReport(Record):
     status: str  # not-reduced | reduced-up-to-cap | unknown
     cap: int
     cells: int

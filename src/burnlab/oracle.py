@@ -51,12 +51,12 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BurnlabError, InputError
+from .records import Record
 from .words import (
     AB_LETTERS,
     Alphabet,
@@ -85,8 +85,7 @@ class ReplayError(BurnlabError):
 DEFAULT_ALPHA_BAR = Fraction(1, 2) + Fraction(1, 100)
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(Record):
     """Resource caps for one oracle query.
 
     max_ball_radius: extra reduced length, above the query words, that the
@@ -114,16 +113,14 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-@dataclass(frozen=True)
-class BudgetUse:
+class BudgetUse(Record):
     states: int
     applications: int
     cap: int
     complete: bool
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     status: str  # "yes" | "no" | "unknown"
     witness: Optional[dict] = None
     certificate: Optional[dict] = None
@@ -142,11 +139,10 @@ class Verdict:
         return self.status == "unknown"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(self._asdict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class NormBounds:
+class NormBounds(Record):
     lower: int
     upper: int
     exact: bool
@@ -154,8 +150,7 @@ class NormBounds:
     budget_used: Optional[BudgetUse] = None
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(Record):
     """One expanded relator word.  rank 0 marks ad-hoc relators."""
 
     id: str
@@ -169,8 +164,7 @@ class Relator:
             raise InputError("relator %s is not cyclically reduced" % self.id)
 
 
-@dataclass(frozen=True)
-class _Context:
+class _Context(Record):
     letters: tuple[int, ...]
     relator_index: int
     sign: int

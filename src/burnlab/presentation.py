@@ -23,12 +23,12 @@ are filtered syntactically before any oracle work ("free-power").
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem
+from .records import Record
 from .words import (
     Alphabet,
     Word,
@@ -117,8 +117,7 @@ def _short(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-@dataclass(frozen=True)
-class SmallCancellationParams:
+class SmallCancellationParams(Record, uncompared=("caveats",)):
     """Exponent k plus the cancellation constants, kept as exact rationals.
 
     The gate accepts k odd with 0 < zeta < epsilon < gamma < beta < alpha,
@@ -136,7 +135,7 @@ class SmallCancellationParams:
     zeta: Fraction = Fraction(1, 2000)
     h: int = 12
     allow_small_k: bool = False
-    caveats: tuple[str, ...] = field(default=(), compare=False)
+    caveats: tuple[str, ...] = ()
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma", "epsilon", "zeta"):
@@ -219,30 +218,26 @@ class SmallCancellationParams:
         )
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(Record):
     status: str  # "simple" | "not-simple" | "unknown"
     reason: Optional[str] = None
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
+class CandidateRecord(Record):
     word: str
     outcome: str  # "admitted" | "rejected" | "unknown"
     reason: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class BuildReport:
+class BuildReport(Record):
     rank: int
     admitted: tuple[str, ...]
     records: tuple[CandidateRecord, ...]
     approximate: bool
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     ok: bool
     failures: tuple[tuple[str, int, str], ...]
     approximate_ranks: tuple[int, ...]

@@ -20,7 +20,6 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 from typing import Iterable, Optional, Sequence
@@ -28,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .cayley import FLAG_EXACT, enumerate_ball
 from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem, Verdict
+from .records import Frozen, Record
 from .words import (
     Word,
     cyclic_rep,
@@ -47,7 +47,7 @@ MAX_LAW_LETTERS = 10_000
 MAX_LAW_NESTING = 100
 
 
-class GroupLaw:
+class GroupLaw(Frozen):
     """A nontrivial word in variables x1, x2.
 
     Text grammar: juxtaposition is product, `^` takes integer powers,
@@ -70,9 +70,6 @@ class GroupLaw:
                 raise InputError("law variables must be x1..x%d" % self.MAX_VARS)
         object.__setattr__(self, "letters", lst)
         object.__setattr__(self, "text", text or self._render(lst))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupLaw is immutable")
 
     @staticmethod
     def _render(letters) -> str:
@@ -189,7 +186,7 @@ def _parse_product(toks, pos, stop, depth=0):
     return letters, pos
 
 
-class StepDistribution:
+class StepDistribution(Frozen):
     """Finitely supported step law for random walks: pairs (word, prob) with
     exact positive Fractions summing to 1.
 
@@ -237,9 +234,6 @@ class StepDistribution:
         object.__setattr__(self, "probe_depth", depth)
         object.__setattr__(self, "maybe_degenerate", not self._probe(depth))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StepDistribution is immutable")
-
     def _probe(self, depth: int) -> bool:
         need = set()
         for w, _ in self.support:
@@ -276,8 +270,7 @@ class StepDistribution:
             "%s:%s" % (w, p) for w, p in self.support)
 
 
-@dataclass(frozen=True)
-class LawEstimate:
+class LawEstimate(Record):
     law: str
     mode: str
     n: int
@@ -452,8 +445,7 @@ def law_probability_sweep(presentation, law: GroupLaw, rank: int, mode: str,
     return rows, diag
 
 
-@dataclass(frozen=True)
-class TorsionVerdict:
+class TorsionVerdict(Record):
     word: str
     status: str  # power-torsion | conjugate-into-H | both | neither | unknown
     torsion: Verdict

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
+from .records import Frozen
 
 # generator indices have at most this many digits, counted before int() so
 # that it never meets a huge literal; no alphabet a run can enumerate nears 10^18
@@ -334,7 +335,7 @@ def parse_letters(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Word:
+class Word(Frozen):
     """An immutable, freely reduced word.  Value semantics, shortlex order.
 
     >>> Word((1, 2)) * Word((-2, 3))
@@ -362,9 +363,6 @@ class Word:
 
     def format(self) -> str:
         return format_letters(self.letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -410,7 +408,7 @@ class Word:
         return "Word(%r)" % self.format()
 
 
-class CyclicWord:
+class CyclicWord(Frozen):
     """A conjugacy-style cyclic word: cyclically reduced, stored as the
     shortlex-least rotation.  Two words give equal CyclicWords iff their
     cyclic reductions are rotations of each other.
@@ -427,9 +425,6 @@ class CyclicWord:
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":
         return cls(w.letters)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclicWord is immutable")
 
     def __len__(self) -> int:
         return len(self.rep)
@@ -470,7 +465,7 @@ def periodic_word(period: Word, length: int) -> Word:
     return Word._raw(tuple(p[i % len(p)] for i in range(length)))
 
 
-class Alphabet:
+class Alphabet(Frozen):
     """Generator roster {a, b, s_1..s_m}.  m >= 0; total generator count m+2.
 
     >>> Alphabet(1).letters()
@@ -489,9 +484,6 @@ class Alphabet:
     @property
     def size(self) -> int:
         return self.m + 2
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Alphabet) and self.m == other.m

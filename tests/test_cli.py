@@ -1,6 +1,5 @@
 """End-to-end command line runs, in process via cli.main."""
 
-import dataclasses
 import json
 import os
 import shutil
@@ -90,15 +89,26 @@ class TestBuild:
 
 
 class TestImports:
-    def test_cli_leaves_the_diagram_module_unimported(self):
-        # only diagram-check needs it, and it imports it itself
-        code = "import sys, burnlab.cli; print('burnlab.diagrams' in sys.modules)"
+    @staticmethod
+    def run_fresh(code: str) -> str:
+        """Stripped stdout of `code` run in a new interpreter."""
         src = str(Path(cli.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "False"
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    def test_cli_leaves_the_diagram_module_unimported(self):
+        # only diagram-check needs it, and it imports it itself
+        code = "import sys, burnlab.cli; print('burnlab.diagrams' in sys.modules)"
+        assert self.run_fresh(code) == "False"
+
+    def test_cli_start_up_generates_no_code(self):
+        # records derive from burnlab.records.Record: no module of the CLI
+        # path may import the dataclass machinery and its inspect import
+        code = ("import sys, burnlab.cli, burnlab.presentation; print(sorted(m for m in "
+                "('dataclasses', 'inspect', 'burnlab.diagrams') if m in sys.modules))")
+        assert self.run_fresh(code) == "[]"
 
 
 class TestExitCodes:
@@ -509,7 +519,7 @@ class TestConfig:
         assert loaded.budget == OracleBudget(max_ball_radius=3)
 
     def test_budget_surface_names_one_field_set(self, capsys):
-        fields = {f.name for f in dataclasses.fields(OracleBudget)}
+        fields = set(OracleBudget._fields)
         group = next(g for g in cli._common_parser()._action_groups
                      if g.title == "oracle budget")
         assert set(cli._BUDGET_FIELDS) == fields

@@ -1,0 +1,119 @@
+"""Value semantics of `Record`, the base of the package's records, and of the
+`Frozen` mixin of the hand-written immutable classes: the behaviour the
+frozen dataclasses they replace had, pinned to the strings they printed."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from burnlab.cayley import QuadExt
+from burnlab.diagrams import Diagram
+from burnlab.errors import InputError
+from burnlab.oracle import BudgetUse, OracleBudget, Relator, Verdict
+from burnlab.presentation import CandidateRecord, SimplicityVerdict, SmallCancellationParams
+from burnlab.probability import GroupLaw, StepDistribution
+from burnlab.words import Alphabet, CyclicWord, Word
+
+NO_RANK0 = Verdict("no", certificate={"kind": "rank-0", "op": "equal"},
+                   budget_used=BudgetUse(1, 0, 1, True))
+
+
+class TestRecord:
+    def test_repr_is_the_dataclass_format(self):
+        assert (repr(BudgetUse(states=2, applications=2, cap=5, complete=False))
+                == "BudgetUse(states=2, applications=2, cap=5, complete=False)")
+        assert repr(NO_RANK0) == (
+            "Verdict(status='no', witness=None, certificate={'kind': 'rank-0', 'op': 'equal'}, "
+            "budget_used=BudgetUse(states=1, applications=0, cap=1, complete=True))")
+        assert (repr(OracleBudget())
+                == "OracleBudget(max_ball_radius=4, max_relator_applications=50000)")
+
+    def test_fields_and_defaults(self):
+        assert OracleBudget._fields == ("max_ball_radius", "max_relator_applications")
+        assert Verdict._fields == ("status", "witness", "certificate", "budget_used")
+        assert Verdict("yes") == Verdict("yes", None, None, None)
+        assert OracleBudget(max_relator_applications=7) == OracleBudget(4, 7)
+
+    def test_equality_and_hash(self):
+        assert BudgetUse(1, 0, 1, True) == BudgetUse(1, 0, 1, True)
+        assert hash(BudgetUse(1, 0, 1, True)) == hash((1, 0, 1, True))
+        assert BudgetUse(1, 0, 1, True) != BudgetUse(1, 0, 2, True)
+        # same field values, other class: never equal, as with dataclasses
+        assert SimplicityVerdict("x", "y", None) != CandidateRecord("x", "y", None)
+        assert BudgetUse(1, 0, 1, True) != (1, 0, 1, True)
+        assert len({OracleBudget(), OracleBudget(4, 50_000), OracleBudget(3)}) == 2
+
+    def test_caveats_are_not_compared(self):
+        # k = 2001 passes the epsilon * k bound, so the gate keeps the caveats given
+        plain = SmallCancellationParams(k=2001)
+        noted = SmallCancellationParams(k=2001, caveats=("noted",))
+        assert noted.caveats == ("noted",) and plain.caveats == ()
+        assert plain == noted and hash(plain) == hash(noted)
+        assert plain != SmallCancellationParams(k=2003)
+        assert "caveats=('noted',)" in repr(noted)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BudgetUse(1, 0, 1), "missing arguments: complete"),
+        (lambda: BudgetUse(states=1), "missing arguments: applications, cap, complete"),
+        (lambda: BudgetUse(1, 0, 1, True, 5), "takes 4 arguments but 5 were given"),
+        (lambda: OracleBudget(max_radius=3), "unexpected or repeated argument 'max_radius'"),
+        (lambda: Relator("r", (1,), id="s"), "unexpected or repeated argument 'id'"),
+    ])
+    def test_bad_arguments_are_type_errors(self, make, message):
+        with pytest.raises(TypeError, match=message):
+            make()
+
+    def test_fields_cannot_be_set_or_deleted(self):
+        with pytest.raises(AttributeError, match="Verdict is immutable"):
+            NO_RANK0.status = "yes"
+        with pytest.raises(AttributeError, match="OracleBudget is immutable"):
+            del OracleBudget().max_ball_radius
+        with pytest.raises(AttributeError):
+            NO_RANK0.extra = 1
+        assert NO_RANK0.status == "no"
+
+    @pytest.mark.parametrize("make", [
+        lambda: Relator("r", ()),
+        lambda: Relator("r", (1, 3, -1)),
+        lambda: OracleBudget(max_ball_radius=-1),
+        lambda: OracleBudget(max_relator_applications=0),
+    ])
+    def test_post_init_still_validates(self, make):
+        with pytest.raises(InputError):
+            make()
+
+    def test_verdict_json_nests_the_budget(self):
+        text = NO_RANK0.to_json()
+        assert text == (
+            '{"budget_used": {"applications": 0, "cap": 1, "complete": true, "states": 1}, '
+            '"certificate": {"kind": "rank-0", "op": "equal"}, "status": "no", "witness": null}')
+        assert json.loads(text)["budget_used"] == {
+            "states": 1, "applications": 0, "cap": 1, "complete": True}
+        assert NO_RANK0._asdict()["budget_used"] == NO_RANK0.budget_used._asdict()
+
+
+FROZEN = [
+    ("Word", lambda: Word((1, 2)), "letters"),
+    ("CyclicWord", lambda: CyclicWord((1, 2)), "rep"),
+    ("Alphabet", lambda: Alphabet(1), "m"),
+    ("GroupLaw", lambda: GroupLaw((1, 1, 1)), "letters"),
+    ("StepDistribution", lambda: StepDistribution([(Word((3,)), Fraction(1))]), "support"),
+    ("QuadExt", lambda: QuadExt(1, 1, 2), "x"),
+    ("Diagram", lambda: Diagram("circular", ("v0",), (), (), ()), "vertices"),
+]
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("name, make, attr", FROZEN, ids=[f[0] for f in FROZEN])
+    def test_assignment_and_deletion_raise(self, name, make, attr):
+        obj = make()
+        before = getattr(obj, attr)
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            setattr(obj, attr, before)
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            delattr(obj, attr)
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            obj.other = 1
+        assert getattr(obj, attr) is before
+        hash(obj)
