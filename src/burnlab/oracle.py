@@ -42,8 +42,9 @@ the shortest relator, every insertion that rule (or, past rotation 0 of the
 cyclic search, its cyclic twin) keeps: it cancels no letter, so it adds |T|
 letters and ends over the cap.
 
-Both searches run on `words.encode_letters` strings; encoded words never
-leave this module, and queries take and return letter tuples and `Word`s.
+Both searches run on `words.encode_letters` strings.  Queries take and
+return letter tuples and `Word`s; only `cyclic_component` hands its members
+out encoded, to `presentation`'s admission rules.
 """
 
 from __future__ import annotations
@@ -52,13 +53,12 @@ import heapq
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BurnlabError, InputError
 from .records import Record
 from .words import (
-    AB_LETTERS,
+    AB_CODES,
     Alphabet,
     Word,
     cyclic_rep,
@@ -441,23 +441,22 @@ def verify_into_ab_witness(system: RelatorSystem, u: Sequence[int], witness: dic
 
 
 class _Component:
-    """A rewriting component within a cap.  The search keeps its words
-    encoded: `_parents` maps each to the predecessor whose move first reached
-    it (None at the start), in the order they were added, and `_min_word` is
-    the least.  `parents` and `min_word` read them as letter tuples.
+    """A rewriting component within a cap, its words encoded: `parents` maps
+    each to the predecessor whose move first reached it (None at the start),
+    in the order they were added, and `_min_word` is the least, which
+    `min_word` reads as a letter tuple.
 
     The memo keeps a complete cyclic component whole, and a complete linear
-    one as its `least_chain`: `_parents` then holds only the least word's
+    one as its `least_chain`: `parents` then holds only the least word's
     predecessor chain, and the counts and flags are the whole run's."""
 
-    __slots__ = ("cap", "complete", "_parents", "parents", "_min_word", "states",
-                 "applications", "cyclic")
+    __slots__ = ("cap", "complete", "parents", "_min_word", "states", "applications",
+                 "cyclic")
 
     def __init__(self, start: str, cap, cyclic):
         self.cap = cap
         self.cyclic = cyclic
-        self._parents: dict[str, Optional[str]] = {start: None}
-        self.parents = _DecodedMembers(self._parents)
+        self.parents: dict[str, Optional[str]] = {start: None}
         self.complete = True
         self._min_word = start
         self.states = 1
@@ -467,43 +466,28 @@ class _Component:
     def min_word(self) -> tuple[int, ...]:
         return decode_letters(self._min_word)
 
+    def find(self, target: Optional[str] = None) -> Optional[str]:
+        """`target` if it is a member, else None; with no target, the least
+        member written over {a, b}, which `conjugate_into_ab` and
+        `is_simple` name."""
+        if target is None:
+            return min(filter(AB_CODES.issuperset, self.parents), key=_encoded_key, default=None)
+        return target if target in self.parents else None
+
     def least_chain(self) -> _Component:
-        """This component with `_parents` cut to the chain from `_min_word`
+        """This component with `parents` cut to the chain from `_min_word`
         back to the start: {min_word: pred, pred: pred2, ..., start: None}.
         A linear reader needs no more: `canonical` and `norm` read the least
         word and trace it, and `equal` targets the empty word, a member
         exactly when it is the least."""
         chain = _Component(self._min_word, self.cap, self.cyclic)
-        parents, w = chain._parents, self._min_word
+        parents, w = chain.parents, self._min_word
         while w is not None:
-            parents[w] = self._parents[w]
+            parents[w] = self.parents[w]
             w = parents[w]
         chain.complete, chain.states, chain.applications = (
             self.complete, self.states, self.applications)
         return chain
-
-
-class _DecodedMembers:
-    """The words of an encoded parents map as letter tuples, decoded as they
-    are read, so a memoized component holds no second copy of its members.
-    A memoized linear component's map is only its least word's chain; a
-    cyclic one's holds every member."""
-
-    __slots__ = ("_parents",)
-
-    def __init__(self, parents: dict[str, Optional[str]]):
-        self._parents = parents
-
-    def __iter__(self):
-        return map(decode_letters, self._parents)
-
-    def __contains__(self, word: tuple[int, ...]) -> bool:
-        return _encode_query(word) in self._parents
-
-
-# membership queries repeat a few words many times (`_conjugacy_test` asks
-# each component about the same period reps), and encoding is most of their cost
-_encode_query = lru_cache(maxsize=1024)(encode_letters)
 
 
 class RankOracle:
@@ -514,8 +498,8 @@ class RankOracle:
     snapshot are cheap.  Writes to the memo are idempotent: a complete
     component is a pure function of (start, cap, cyclic), and holds only
     each member's predecessor: `_trace` derives the moves again.  A cyclic
-    entry keeps every member, which `is_simple` and `_conjugacy_test` read;
-    a linear entry keeps only its least word's predecessor chain
+    entry keeps every member, which `is_simple` and `_conjugacy_test` read
+    encoded; a linear entry keeps only its least word's predecessor chain
     (`_Component.least_chain`)."""
 
     def __init__(self, system: RelatorSystem):
@@ -774,7 +758,7 @@ class RankOracle:
             return hit
 
         comp = _Component(start, cap, cyclic)
-        parents = comp._parents
+        parents = comp.parents
         successors = self._cyclic_successors if cyclic else self._linear_successors
         max_applications = budget.max_relator_applications
         applications, complete, min_word = 0, True, start
@@ -842,7 +826,7 @@ class RankOracle:
     def _trace(self, comp: _Component, target: str, start_word: tuple[int, ...],
                prefix_steps: Optional[list[dict]] = None) -> dict:
         steps = []
-        while (pred := comp._parents[target]) is not None:
+        while (pred := comp.parents[target]) is not None:
             steps[:0] = self._edge_steps(comp, pred, target)
             target = pred
         return {"start": format_letters(start_word), "steps": (prefix_steps or []) + steps}
@@ -887,8 +871,7 @@ class RankOracle:
         if target is not None:
             target = encode_letters(target)
         comp = _Component(code, size, cyclic)  # start alone, before any search
-        hit = _hit(comp, target)
-        if hit is None:
+        if comp.find(target) is None:
             if self.system.empty:
                 return Verdict("no", certificate={"kind": "rank-0", "op": op},
                                budget_used=self._use(comp))
@@ -900,9 +883,9 @@ class RankOracle:
                                  "lattice": [list(b) for b in lattice.basis()]},
                     budget_used=self._use(comp),
                 )
-            stop = _AB_CODES.issuperset if target is None else target.__eq__
+            stop = AB_CODES.issuperset if target is None else target.__eq__
             comp = self._closure(code, cap, budget, cyclic, stop)
-            hit = _hit(comp, target)
+        hit = comp.find(target)
         extras = extras or {}
         if hit is not None:
             prefix = _cyclic_rep_steps(word, start) if cyclic else None
@@ -959,15 +942,14 @@ class RankOracle:
                          budget: Optional[OracleBudget] = None,
                          stop: Optional[Callable] = None) -> _Component:
         """Cyclic rewriting component of cyclic_rep(u) within the length cap
-        |cyclic_rep(u)| + max_ball_radius.  A search ends at the first word
-        for which `stop`, given its letters, is true, as in `_closure`.
-        Complete cyclic components stay whole in the memo, unlike linear
-        ones, so a memoized one is returned with every member."""
+        |cyclic_rep(u)| + max_ball_radius, its members encoded.  A search ends
+        at the first word for which `stop`, given it encoded, is true, as in
+        `_closure`.  Complete cyclic components stay whole in the memo, unlike
+        linear ones, so a memoized one is returned with every member."""
         budget = budget or DEFAULT_BUDGET
         cu = cyclic_rep(_letters(u))
-        check = None if stop is None else lambda s: stop(decode_letters(s))
         return self._closure(encode_letters(cu), len(cu) + budget.max_ball_radius, budget,
-                             True, check)
+                             True, stop)
 
     def conjugate(self, u: Sequence[int] | Word, v: Sequence[int] | Word,
                   budget: Optional[OracleBudget] = None) -> Verdict:
@@ -987,21 +969,9 @@ class RankOracle:
                             self.system.expvec(tu), budget or DEFAULT_BUDGET, cyclic=True)
 
 
-def _hit(comp: _Component, target: Optional[str]) -> Optional[str]:
-    """target if the component holds it; with target None, the least member
-    written over {a, b}; else None."""
-    if target is None:
-        return min(filter(_AB_CODES.issuperset, comp._parents), key=_encoded_key, default=None)
-    return target if target in comp._parents else None
-
-
 def _encoded_key(s: str) -> tuple[int, str]:
     """The shortlex key of an encoded word."""
     return len(s), s
-
-
-# an encoded word is over {a, b} when this set holds all its letters
-_AB_CODES = frozenset(encode_letters(AB_LETTERS))
 
 
 def _plain_inserts(records: tuple[tuple, ...], room: int, left: str, right: str) -> tuple[tuple, ...]:

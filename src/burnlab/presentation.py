@@ -30,10 +30,14 @@ from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem
 from .records import Record
 from .words import (
+    AB_CODES,
     Alphabet,
     Word,
     cyclic_rep,
     cyclically_reduced_words,
+    decode_letters,
+    encode_letters,
+    format_letters,
     inverse_letters,
     is_ab_word,
     min_rotation,
@@ -253,6 +257,17 @@ def _free_period(t: tuple[int, ...]) -> tuple[int, ...]:
     return t
 
 
+def _encoded_rep(t: tuple[int, ...]) -> str:
+    """The encoded cyclic_rep(t): the form of a cyclic word that the oracle's
+    cyclic components hold."""
+    return encode_letters(cyclic_rep(t))
+
+
+def _format(s: str) -> str:
+    """The text of an encoded word, for a verdict's detail."""
+    return format_letters(decode_letters(s))
+
+
 def canonical_cyclic_candidates(alphabet: Alphabet, length: int) -> list[tuple[int, ...]]:
     """Cyclically reduced words of the given length that equal their own
     shortlex-least rotation, in shortlex order."""
@@ -273,7 +288,7 @@ class GradedPresentation:
         self._approximate: list[bool] = []
         self._systems: dict[int, RelatorSystem] = {}
         self._oracles: dict[int, RankOracle] = {}
-        self._power_reps: dict[int, dict[tuple[int, ...], tuple[int, int]]] = {}
+        self._power_reps: dict[int, dict[str, tuple[int, int]]] = {}
         for periods, approximate in ranks:
             self._append_rank(periods, approximate)
 
@@ -310,14 +325,14 @@ class GradedPresentation:
         self._periods.append(tuple(checked))
         self._approximate.append(bool(approximate))
 
-    def _period_power_reps(self, rank: int) -> dict[tuple[int, ...], tuple[int, int]]:
-        """cyclic_rep(p^t) -> (j, t) for each period p of ranks j = 1..rank
+    def _period_power_reps(self, rank: int) -> dict[str, tuple[int, int]]:
+        """_encoded_rep(p^t) -> (j, t) for each period p of ranks j = 1..rank
         in order and t = 1..k-1; computed once, as the periods of a built
         rank never change."""
         hit = self._power_reps.get(rank)
         if hit is None:
             hit = self._power_reps[rank] = {
-                cyclic_rep(p.letters * t): (j, t) for j in range(1, rank + 1)
+                _encoded_rep(p.letters * t): (j, t) for j in range(1, rank + 1)
                 for p in self.periods(j) for t in range(1, self.params.k)}
         return hit
 
@@ -372,29 +387,30 @@ class GradedPresentation:
                                      "cyclic core lies in the {a,b} subgroup")
 
         powers = self._period_power_reps(rank)
-        rejecting = lambda u: u in powers or is_ab_word(u)
+        rejecting = lambda s: s in powers or AB_CODES.issuperset(s)
         comp = self.oracle(rank).cyclic_component(w, budget, stop=rejecting)
-        # insertion order: a memoized complete component extends the stopped run
-        first = next((u for u in comp.parents if rejecting(u)), None)
+        # the members are encoded, in insertion order: a memoized complete
+        # component extends the stopped run, so its first rejecting member is
+        # the one the stop rule saw; only the words a detail names are decoded
+        first = next(filter(rejecting, comp.parents), None)
         if first in powers:
-            detail = "conjugate to x%d power %d (%s)" % (*powers[first], Word(first).format())
+            detail = "conjugate to x%d power %d (%s)" % (*powers[first], _format(first))
             return SimplicityVerdict("not-simple", "period-power", detail)
         if first is not None:
-            least = min((u for u in comp.parents if is_ab_word(u)), key=shortlex_key)
             return SimplicityVerdict("not-simple", "in-ab",
-                                     "conjugate to %s" % Word(least).format())
+                                     "conjugate to %s" % _format(comp.find()))
 
         for member in comp.parents:
             if len(member) < len(w):
                 return SimplicityVerdict(
                     "not-simple", "shorter-or-power",
-                    "conjugate to shorter word %s" % Word(member).format(),
+                    "conjugate to shorter word %s" % _format(member),
                 )
             base = _free_period(member)
             if len(base) < len(w) and len(base) < len(member):
                 return SimplicityVerdict(
                     "not-simple", "shorter-or-power",
-                    "conjugate to %s^%d" % (Word(base).format(), len(member) // len(base)),
+                    "conjugate to %s^%d" % (_format(base), len(member) // len(base)),
                 )
 
         if not comp.complete:
@@ -403,19 +419,21 @@ class GradedPresentation:
         return SimplicityVerdict("simple")
 
     def _conjugacy_test(self, p: tuple[int, ...], rank: int,
-                        budget: Optional[OracleBudget]) -> Callable[[tuple[int, ...]], str]:
+                        budget: Optional[OracleBudget]) -> Callable[[str], str]:
         """Status of "p is conjugate to q at rank `rank`" as a function of
-        cyclic_rep(q), for |q| = |p|, from p's cyclic component (for a simple p,
-        the one `is_simple` memoized): "yes" for a member, "no" when it is
+        _encoded_rep(q), for |q| = |p|, from p's cyclic component (for a simple
+        p, the one `is_simple` memoized): "yes" for a member, "no" when it is
         complete or p and q differ modulo the relator lattice, else "unknown".
         That is `RankOracle.conjugate`'s status: its search is the same run
-        within the same cap, stopped at q."""
+        within the same cap, stopped at q.  Only the lattice test, which an
+        incomplete component alone reaches, decodes q."""
         comp = self.oracle(rank).cyclic_component(p, budget)
         system = self.relator_system(rank)
         residue = system.lattice.reduce(system.expvec(p))
-        return lambda q_rep: ("yes" if q_rep in comp.parents else "no" if comp.complete
-                              or system.lattice.reduce(system.expvec(q_rep)) != residue
-                              else "unknown")
+        return lambda q_rep: (
+            "yes" if q_rep in comp.parents else "no" if comp.complete
+            or system.lattice.reduce(system.expvec(decode_letters(q_rep))) != residue
+            else "unknown")
 
     # building --------------------------------------------------------------
 
@@ -429,7 +447,7 @@ class GradedPresentation:
         verdicts = [self.is_simple(Word(t), rank, budget) for t in candidates]
 
         admitted: list[Word] = []
-        admitted_reps: list[tuple[int, ...]] = []  # of each period and its inverse
+        admitted_reps: list[str] = []  # _encoded_rep of each period and its inverse
         records: list[CandidateRecord] = []
         approximate = False
         for t, verdict in zip(candidates, verdicts):
@@ -446,7 +464,7 @@ class GradedPresentation:
                 records.append(CandidateRecord(name, "rejected", "conjugate-duplicate"))
                 continue
             admitted.append(Word(t))
-            admitted_reps += (t, cyclic_rep(inverse_letters(t)))
+            admitted_reps += (encode_letters(t), _encoded_rep(inverse_letters(t)))
             records.append(CandidateRecord(name, "admitted", None))
 
         self._append_rank(admitted, approximate)
@@ -500,7 +518,7 @@ class GradedPresentation:
 
         for j in range(1, self.max_rank + 1):
             ps = self.periods(j)
-            reps = [(cyclic_rep(p.letters), cyclic_rep((~p).letters)) for p in ps]
+            reps = [(_encoded_rep(p.letters), _encoded_rep((~p).letters)) for p in ps]
             for i1 in range(len(ps) - 1):
                 conjugate_to = self._conjugacy_test(ps[i1].letters, j - 1, budget)
                 for i2 in range(i1 + 1, len(ps)):

@@ -18,6 +18,13 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
+    def __setstate__(self, state):
+        """Restore a copy or an unpickled object: the default state is the
+        instance dict, or a pair (dict or None, slot values)."""
+        for part in state if isinstance(state, tuple) else (state,):
+            for name, value in (part or {}).items():
+                object.__setattr__(self, name, value)
+
 
 class Record(Frozen):
     """A frozen dataclass without the code generation.  The annotated names

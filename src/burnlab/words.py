@@ -97,6 +97,8 @@ def decode_letters(s: str) -> tuple[int, ...]:
 
 # the letters of the subgroup H = <a, b>, in letter_key order
 AB_LETTERS = (1, -1, 2, -2)
+# an encoded word is over {a, b} when this set holds all its letters
+AB_CODES = frozenset(encode_letters(AB_LETTERS))
 
 
 def is_ab_letter(letter: int) -> bool:

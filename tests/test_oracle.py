@@ -133,7 +133,7 @@ def decoded_parents(oracle, comp):
     as witness assembly derives it."""
     return {decode_letters(w): None if pred is None else (
                 decode_letters(pred), oracle._recorded_move(comp, pred, w))
-            for w, pred in comp._parents.items()}
+            for w, pred in comp.parents.items()}
 
 
 @pytest.fixture(scope="module")
@@ -369,10 +369,10 @@ class TestWitnessReplay:
         u = Word.parse("b.s1.s1.s1.B").letters
         comp = oracle._closure(encode_letters(u), oracle._linear_cap(u, budget), budget,
                                cyclic=False)
-        start, *members = comp._parents
+        start, *members = comp.parents
         reached = {succ for succ, _ in oracle._linear_successors(start, comp.cap)}
         far = next(w for w in members if w not in reached)
-        comp._parents[far] = start
+        comp.parents[far] = start
         with pytest.raises(BurnlabError, match="trace assembly mismatch"):
             oracle._trace(comp, far, u)
 
@@ -551,7 +551,7 @@ class TestMemo:
         warm = RankOracle(system)
         assert warm.canonical(u, budget) == ((), True)
         (entry,) = warm._components.values()
-        assert len(entry._parents) < entry.states
+        assert len(entry.parents) < entry.states
 
         def answers(oracle):
             verdict, norm = oracle.equal(u, (), budget), oracle.norm(u, budget)
@@ -572,21 +572,21 @@ class TestMemo:
         enumerate_ball(p_k3_m1_r2, 2, 3, budget)
         oracle = p_k3_m1_r2.oracle(2)
         entries = [(key, comp) for key, comp in oracle._components.items() if not key[2]]
-        assert entries and any(len(comp._parents) < comp.states for _, comp in entries)
+        assert entries and any(len(comp.parents) < comp.states for _, comp in entries)
         for (start, cap, _), comp in entries:
             # the chain runs from the least word back to the start
             chain, w = [], comp._min_word
             while w is not None:
                 chain.append(w)
-                w = comp._parents[w]
-            assert chain[-1] == start and len(chain) == len(comp._parents)
+                w = comp.parents[w]
+            assert chain[-1] == start and len(chain) == len(comp.parents)
             fresh = RankOracle(oracle.system)._closure(
                 start, cap, OracleBudget(max_relator_applications=max(1, comp.applications)),
                 cyclic=False)
             assert fresh.complete
             assert ((comp.states, comp.applications, comp._min_word)
                     == (fresh.states, fresh.applications, fresh._min_word))
-            assert all(fresh._parents[w] == pred for w, pred in comp._parents.items())
+            assert all(fresh.parents[w] == pred for w, pred in comp.parents.items())
 
 
 class TestReachabilityWithinACap:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from burnlab import oracle as oracle_module
+from burnlab import presentation as presentation_module
 from burnlab.errors import InputError
 from burnlab.oracle import (
     OracleBudget,
@@ -20,7 +22,14 @@ from burnlab.presentation import (
     SmallCancellationParams,
     canonical_cyclic_candidates,
 )
-from burnlab.words import Alphabet, Word, cyclic_rep, encode_letters, is_ab_letter
+from burnlab.words import (
+    Alphabet,
+    Word,
+    cyclic_rep,
+    decode_letters,
+    encode_letters,
+    is_ab_letter,
+)
 
 from conftest import small_k_params
 from fuzz_docs import DELETE, doc_paths, json_values, mutated
@@ -52,13 +61,14 @@ def reference_is_simple(pres, word, rank, budget):
                            cyclic=True)
     powers = {cyclic_rep(p.letters * t) for j in range(1, rank + 1)
               for p in pres.periods(j) for t in range(1, pres.params.k)}
-    for member in comp.parents:
+    members = [decode_letters(s) for s in comp.parents]
+    for member in members:
         if member in powers:
             return "not-simple", "period-power", None
         if all(is_ab_letter(x) for x in member):
             in_ab = RankOracle(pres.relator_system(rank)).conjugate_into_ab(w, budget)
             return "not-simple", "in-ab", in_ab.witness["target"]
-    for member in comp.parents:
+    for member in members:
         base = _root(member)
         if len(member) < len(w) or len(base) < len(w) and len(base) < len(member):
             return "not-simple", "shorter-or-power", None
@@ -367,7 +377,8 @@ class TestOneConjugacyTest:
         for (j, i1, i2, inverse), status in expected.items():
             p, q = pres.periods(j)[i1], pres.periods(j)[i2]
             q_rep = cyclic_rep((~q if inverse else q).letters)
-            assert pres._conjugacy_test(p.letters, j - 1, audit_budget)(q_rep) == status
+            assert (pres._conjugacy_test(p.letters, j - 1, audit_budget)(encode_letters(q_rep))
+                    == status)
         assert fallbacks == 0
         # 3 moves leave earlier periods' components incomplete, so the
         # residue rule answers there (but at m=2, k=5, where every rank-1
@@ -393,6 +404,25 @@ def test_build_and_audit_ask_no_verdict_query(budget, verdict_calls):
     assert report.ok
     # the tiny budget leaves candidates undecided, so that path ran too
     assert any(r.approximate for r in reports) == (budget.max_relator_applications == 3)
+
+
+def test_build_reads_components_encoded(monkeypatch):
+    """The admission rules take the oracle's encoded members as they are:
+    a rank decodes no more words than its report has records, the ones
+    a rejection's detail names."""
+    pres, _ = GradedPresentation.build(Alphabet(1), small_k_params(), 2)
+    pres.oracle(2)  # building the relator system decodes its contexts once
+    decoded = []
+
+    def counting(s):
+        decoded.append(s)
+        return decode_letters(s)
+
+    for module in (oracle_module, presentation_module):
+        monkeypatch.setattr(module, "decode_letters", counting)
+    report = pres.build_next_rank()
+    assert len(report.records) == 46
+    assert len(decoded) <= len(report.records)
 
 
 class TestStructureAudit:

@@ -2,7 +2,9 @@
 `Frozen` mixin of the hand-written immutable classes: the behaviour the
 frozen dataclasses they replace had, pinned to the strings they printed."""
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -117,3 +119,27 @@ class TestFrozen:
             obj.other = 1
         assert getattr(obj, attr) is before
         hash(obj)
+
+
+COPYABLE = [
+    ("Word", lambda: Word((1, 2)), "letters"),
+    ("CyclicWord", lambda: CyclicWord((1, 2)), "rep"),
+    ("Alphabet", lambda: Alphabet(1), "m"),
+    ("QuadExt", lambda: QuadExt(1, 1, 2), "x"),
+    ("BudgetUse", lambda: BudgetUse(2, 2, 5, False), "states"),
+]
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name, make, attr", COPYABLE, ids=[c[0] for c in COPYABLE])
+def test_copies_are_equal_and_stay_frozen(name, make, attr, duplicate):
+    obj = make()
+    again = duplicate(obj)
+    assert type(again) is type(obj) and again == obj and hash(again) == hash(obj)
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        setattr(again, attr, getattr(obj, attr))
+    with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+        delattr(again, attr)
+    assert getattr(again, attr) == getattr(obj, attr)
