@@ -446,9 +446,10 @@ class _Component:
     in the order they were added, and `_min_word` is the least, which
     `min_word` reads as a letter tuple.
 
-    The memo keeps a complete cyclic component whole, and a complete linear
-    one as its `least_chain`: `parents` then holds only the least word's
-    predecessor chain, and the counts and flags are the whole run's."""
+    The memo keeps a complete cyclic component whole; a complete linear one
+    it keeps as a chain tuple, from which `from_chain` rebuilds a component
+    whose `parents` holds only the least word's predecessor chain, with the
+    whole run's counts and flags."""
 
     __slots__ = ("cap", "complete", "parents", "_min_word", "states", "applications",
                  "cyclic")
@@ -474,20 +475,19 @@ class _Component:
             return min(filter(AB_CODES.issuperset, self.parents), key=_encoded_key, default=None)
         return target if target in self.parents else None
 
-    def least_chain(self) -> _Component:
-        """This component with `parents` cut to the chain from `_min_word`
-        back to the start: {min_word: pred, pred: pred2, ..., start: None}.
-        A linear reader needs no more: `canonical` and `norm` read the least
-        word and trace it, and `equal` targets the empty word, a member
-        exactly when it is the least."""
-        chain = _Component(self._min_word, self.cap, self.cyclic)
-        parents, w = chain.parents, self._min_word
-        while w is not None:
-            parents[w] = self.parents[w]
-            w = parents[w]
-        chain.complete, chain.states, chain.applications = (
-            self.complete, self.states, self.applications)
-        return chain
+    @classmethod
+    def from_chain(cls, chain: tuple, cap: int) -> _Component:
+        """The complete linear component of a memo entry `chain` =
+        (applications, min_word, pred, ..., start): its `parents` is
+        {min_word: pred, ..., start: None}.  A complete search adds one word
+        per charged move, so states = applications + 1.  A linear reader
+        needs no more: `canonical` and `norm` read the least word and trace
+        it, and `equal` targets the empty word, a member exactly when it is
+        the least."""
+        comp = cls(chain[-1], cap, False)
+        comp.parents.update(zip(chain[1:], chain[2:]))
+        comp._min_word, comp.applications, comp.states = chain[1], chain[0], chain[0] + 1
+        return comp
 
 
 class RankOracle:
@@ -499,12 +499,13 @@ class RankOracle:
     component is a pure function of (start, cap, cyclic), and holds only
     each member's predecessor: `_trace` derives the moves again.  A cyclic
     entry keeps every member, which `is_simple` and `_conjugacy_test` read
-    encoded; a linear entry keeps only its least word's predecessor chain
-    (`_Component.least_chain`)."""
+    encoded; a linear entry is the tuple (applications, min_word, pred,
+    ..., start) of its least word's predecessor chain, which
+    `_Component.from_chain` reads."""
 
     def __init__(self, system: RelatorSystem):
         self.system = system
-        self._components: dict[tuple, _Component] = {}
+        self._components: dict[tuple, _Component | tuple] = {}
         # room -> w[p] -> w[p+1] ('' at the end) -> the overlap records,
         # each with the prefix of T it must match, `_linear_successors` tries
         self._linear_overlaps: dict[int, dict[str, dict[str, tuple[tuple, ...]]]] = {}
@@ -750,12 +751,15 @@ class RankOracle:
         budget or its stop rule, is not kept.  (A stopped search is a prefix
         of the same deterministic run: verdicts and witnesses never depend on
         memo warmth, only state counts do.)  A cyclic entry holds every
-        member with its predecessor; a linear entry only the least word's
-        chain, though the fresh run returns its whole component."""
+        member with its predecessor; a linear entry is the tuple
+        (applications, min_word, pred, ..., start) of the least word's
+        chain, rebuilt by `_Component.from_chain` on a hit, though the fresh
+        run returns its whole component."""
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
-        if hit is not None and hit.applications <= budget.max_relator_applications:
-            return hit
+        if hit is not None and (hit.applications if cyclic else hit[0]) \
+                <= budget.max_relator_applications:
+            return hit if cyclic else _Component.from_chain(hit, cap)
 
         comp = _Component(start, cap, cyclic)
         parents = comp.parents
@@ -785,7 +789,14 @@ class RankOracle:
         comp.applications, comp.complete, comp._min_word = applications, complete, min_word
         comp.states = len(parents)
         if complete:
-            self._components[memo_key] = comp if cyclic else comp.least_chain()
+            if cyclic:
+                self._components[memo_key] = comp
+            else:
+                chain, w = [applications], min_word
+                while w is not None:
+                    chain.append(w)
+                    w = parents[w]
+                self._components[memo_key] = tuple(chain)
         return comp
 
     # trace assembly --------------------------------------------------------

@@ -479,10 +479,19 @@ class GradedPresentation:
     def build(cls, alphabet: Alphabet, params: SmallCancellationParams, up_to_rank: int,
               budget: Optional[OracleBudget] = None
               ) -> tuple["GradedPresentation", list[BuildReport]]:
+        """A presentation built by `build_next_rank` up to `up_to_rank`, and
+        the report of each rank.  Each rank's oracle, with its memo, is
+        released once the next rank is appended: no later step of the build
+        reads it, and verdicts do not depend on memo warmth, so `oracle`
+        builds it again, cold, for a caller that asks."""
         if up_to_rank < 0:
             raise InputError("up_to_rank must be >= 0")
         pres = cls(alphabet, params)
-        return pres, [pres.build_next_rank(budget=budget) for _ in range(up_to_rank)]
+        reports = []
+        for _ in range(up_to_rank):
+            reports.append(pres.build_next_rank(budget=budget))
+            pres._oracles.pop(pres.max_rank - 1, None)
+        return pres, reports
 
     # verification ------------------------------------------------------------
 

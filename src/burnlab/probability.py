@@ -54,7 +54,8 @@ class GroupLaw(Frozen):
     `[u,v]` is the commutator u^-1 v^-1 u v, parentheses group, and
     uppercase X1/X2 abbreviate inverses.  A law that freely reduces to the
     empty word (like `x1 X1`) is rejected: it holds in every group and
-    estimating it is a caller bug.
+    estimating it is a caller bug.  Laws compare by their reduced letters;
+    `text` is only how the law was written.
     """
 
     __slots__ = ("letters", "text")
@@ -105,6 +106,12 @@ class GroupLaw(Frozen):
             w = assignment[abs(l) - 1].letters
             out = splice_reduce(out, w if l > 0 else inverse_letters(w), ())
         return Word._raw(out)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GroupLaw) and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __repr__(self):
         return "GroupLaw(%r)" % self.text
@@ -198,7 +205,8 @@ class StepDistribution(Frozen):
 
     A draw takes the first word whose running float sum (`thresholds`)
     exceeds one `rng.random()`, else the last word: rounding can leave the
-    sum below 1.
+    sum below 1.  Distributions compare by `support`, which construction
+    sorts in shortlex order of the words.
     """
 
     __slots__ = ("support", "maybe_degenerate", "probe_depth", "thresholds",
@@ -264,6 +272,12 @@ class StepDistribution(Frozen):
 
     def draw(self, rng: random.Random) -> Word:
         return self._draws[bisect_right(self.thresholds, rng.random())]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StepDistribution) and self.support == other.support
+
+    def __hash__(self) -> int:
+        return hash(self.support)
 
     def __repr__(self):
         return "StepDistribution(%s)" % ", ".join(

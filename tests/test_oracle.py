@@ -452,20 +452,23 @@ class TestMemo:
         first = oracle._closure(start, 6, OracleBudget(), cyclic=True)
         assert first.complete and first.states > 1
         assert oracle._closure(start, 6, OracleBudget(), cyclic=True) is first
-        # a linear component is memoized as its least word's chain, which the
-        # second call returns without searching again
+        # a linear component is memoized as its least word's chain tuple,
+        # from which the second call rebuilds it without searching again
         start = encode_letters(Word.parse("a.s1.b").letters)
         first = oracle._closure(start, 5, OracleBudget(), cyclic=False)
         assert first.complete and first.states > 1
+        entry = oracle._components[start, 5, False]
+        assert type(entry) is tuple and entry[:2] == (first.applications, first._min_word)
 
         def no_search(*args):
             raise AssertionError("a memoized component was searched again")
 
         monkeypatch.setattr(oracle, "_linear_successors", no_search)
         again = oracle._closure(start, 5, OracleBudget(), cyclic=False)
-        assert again is oracle._components[start, 5, False] and again is not first
-        assert ((again.states, again.applications, again.min_word, again.complete)
-                == (first.states, first.applications, first.min_word, first.complete))
+        assert again is not first and oracle._components[start, 5, False] is entry
+        assert ((again.states, again.applications, again.min_word, again.complete, again.cap)
+                == (first.states, first.applications, first.min_word, first.complete, first.cap))
+        assert all(first.parents[w] == pred for w, pred in again.parents.items())
 
     def test_early_stopped_components_are_not_reused(self, p_k3_m1_r1):
         oracle = RankOracle(p_k3_m1_r1.relator_system(1))
@@ -550,8 +553,9 @@ class TestMemo:
         u = Word.parse("b.s1.s1.s1.B")
         warm = RankOracle(system)
         assert warm.canonical(u, budget) == ((), True)
-        (entry,) = warm._components.values()
-        assert len(entry.parents) < entry.states
+        (entry,) = warm._components.values()  # (applications, min_word, ..., start)
+        states = entry[0] + 1
+        assert len(entry[1:]) < states
 
         def answers(oracle):
             verdict, norm = oracle.equal(u, (), budget), oracle.norm(u, budget)
@@ -565,28 +569,31 @@ class TestMemo:
         assert answers(warm) == answers(RankOracle(system))
         # the memo served the warm `equal`: a fresh one stops at the empty word
         used = warm.equal(u, (), budget).budget_used
-        assert used.complete and used.states == entry.states
+        assert used.complete and used.states == states
         assert not RankOracle(system).equal(u, (), budget).budget_used.complete
 
     def test_linear_entries_are_least_word_chains(self, p_k3_m1_r2, budget):
         enumerate_ball(p_k3_m1_r2, 2, 3, budget)
         oracle = p_k3_m1_r2.oracle(2)
-        entries = [(key, comp) for key, comp in oracle._components.items() if not key[2]]
-        assert entries and any(len(comp.parents) < comp.states for _, comp in entries)
-        for (start, cap, _), comp in entries:
-            # the chain runs from the least word back to the start
-            chain, w = [], comp._min_word
-            while w is not None:
-                chain.append(w)
-                w = comp.parents[w]
-            assert chain[-1] == start and len(chain) == len(comp.parents)
+        entries = [(key, entry) for key, entry in oracle._components.items() if not key[2]]
+        assert entries and any(len(entry) - 1 < entry[0] + 1 for _, entry in entries)
+        for (start, cap, _), entry in entries:
+            # (applications, min_word, pred, ..., start): the chain runs from
+            # the least word back to the start
+            applications, chain = entry[0], entry[1:]
+            assert chain[-1] == start
             fresh = RankOracle(oracle.system)._closure(
-                start, cap, OracleBudget(max_relator_applications=max(1, comp.applications)),
+                start, cap, OracleBudget(max_relator_applications=max(1, applications)),
                 cyclic=False)
             assert fresh.complete
-            assert ((comp.states, comp.applications, comp._min_word)
+            assert ((applications + 1, applications, chain[0])
                     == (fresh.states, fresh.applications, fresh._min_word))
-            assert all(fresh.parents[w] == pred for w, pred in comp.parents.items())
+            assert [fresh.parents[w] for w in chain] == [*chain[1:], None]
+            # and a memo hit rebuilds that chain with the whole run's counts
+            comp = oracle._closure(start, cap, OracleBudget(), cyclic=False)
+            assert ((comp.states, comp.applications, comp._min_word, comp.complete, comp.cap)
+                    == (fresh.states, fresh.applications, fresh._min_word, True, cap))
+            assert comp.parents == dict(zip(chain, [*chain[1:], None]))
 
 
 class TestReachabilityWithinACap:

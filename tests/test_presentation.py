@@ -536,3 +536,15 @@ class TestBuildDriver:
     def test_negative_rank_rejected(self, budget):
         with pytest.raises(InputError):
             GradedPresentation.build(Alphabet(1), small_k_params(), -1, budget)
+
+    def test_build_releases_each_ranks_oracle(self, budget):
+        pres, reports = GradedPresentation.build(Alphabet(1), small_k_params(), 3, budget)
+        assert not any(rank < 3 for rank in pres._oracles)
+        # rank by rank, the oracles stay and the artifacts are the same
+        kept = GradedPresentation(Alphabet(1), small_k_params())
+        kept_reports = [kept.build_next_rank(budget) for _ in range(3)]
+        assert sorted(kept._oracles) == [0, 1, 2]
+        assert pres.to_json() == kept.to_json()
+        assert reports == kept_reports
+        # a released oracle is built again, cold, with the same answers
+        assert pres.verify_structure(budget) == kept.verify_structure(budget)

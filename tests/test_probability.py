@@ -1,6 +1,8 @@
 """Law parsing and evaluation, step distributions, sampled and exhaustive
 law-probability estimates, torsion classification, and the quotient walk."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -216,6 +218,17 @@ class TestGroupLaw:
         with pytest.raises(AttributeError):
             GroupLaw.power(2).letters = ()
 
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_laws_compare_by_letters(self, clone):
+        law = GroupLaw.parse("x1^3")
+        assert law == GroupLaw.power(3) == GroupLaw((1, 1, 1)) == clone(law)
+        assert hash(law) == hash(GroupLaw.power(3)) == hash(clone(law))
+        assert len({law, GroupLaw.power(3), clone(law), GroupLaw.commutator()}) == 2
+        assert law != GroupLaw.power(-3) and law != GroupLaw.power(5)
+        assert law != Word((1, 1, 1))
+
     def test_nesting_capped(self):
         deep = "(" * MAX_LAW_NESTING + "x1" + ")" * MAX_LAW_NESTING
         assert GroupLaw.parse(deep).letters == (1,)
@@ -282,6 +295,22 @@ class TestStepDistribution:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             ALL_STEPS.support = ()
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_distributions_compare_by_support(self, clone):
+        steps = [Word((3,)), Word((-3,))]
+        nu = StepDistribution.lazy_uniform(steps)
+        third = Fraction(1, 3)
+        same = StepDistribution([(Word((-3,)), third), ((), third), ((3,), third)])
+        assert nu == StepDistribution.lazy_uniform(steps) == same == clone(nu)
+        assert hash(nu) == hash(same) == hash(clone(nu))
+        assert len({nu, same, clone(nu), ALL_STEPS}) == 2
+        assert nu != StepDistribution.lazy_uniform([Word((3,))])
+        assert nu != StepDistribution([(Word(()), Fraction(1, 2)), (Word((3,)), Fraction(1, 4)),
+                                       (Word((-3,)), Fraction(1, 4))])
+        assert nu != nu.support
 
     def test_float_sum_below_one_falls_back_to_last_word(self):
         assert SEVENTHS.thresholds[-1] < 1
