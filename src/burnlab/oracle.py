@@ -66,6 +66,7 @@ from .words import (
     encode_letters,
     exponent_vector,
     format_letters,
+    inverse_encoded,
     inverse_letters,
     is_ab_letter,
     is_ab_word,
@@ -449,7 +450,8 @@ class _Component:
     The memo keeps a complete cyclic component whole; a complete linear one
     it keeps as a chain tuple, from which `from_chain` rebuilds a component
     whose `parents` holds only the least word's predecessor chain, with the
-    whole run's counts and flags."""
+    whole run's counts and flags.  The tuple also names the least inverse of
+    a member, which `RankOracle.canonical` reads without a component."""
 
     __slots__ = ("cap", "complete", "parents", "_min_word", "states", "applications",
                  "cyclic")
@@ -478,15 +480,16 @@ class _Component:
     @classmethod
     def from_chain(cls, chain: tuple, cap: int) -> _Component:
         """The complete linear component of a memo entry `chain` =
-        (applications, min_word, pred, ..., start): its `parents` is
-        {min_word: pred, ..., start: None}.  A complete search adds one word
-        per charged move, so states = applications + 1.  A linear reader
-        needs no more: `canonical` and `norm` read the least word and trace
-        it, and `equal` targets the empty word, a member exactly when it is
-        the least."""
+        (applications, mirror_min, min_word, pred, ..., start): its
+        `parents` is {min_word: pred, ..., start: None}, read from index 2;
+        `mirror_min` serves only `RankOracle.canonical` of the inverse
+        start.  A complete search adds one word per charged move, so
+        states = applications + 1.  A linear reader needs no more:
+        `canonical` and `norm` read the least word and trace it, and `equal`
+        targets the empty word, a member exactly when it is the least."""
         comp = cls(chain[-1], cap, False)
-        comp.parents.update(zip(chain[1:], chain[2:]))
-        comp._min_word, comp.applications, comp.states = chain[1], chain[0], chain[0] + 1
+        comp.parents.update(zip(chain[2:], chain[3:]))
+        comp._min_word, comp.applications, comp.states = chain[2], chain[0], chain[0] + 1
         return comp
 
 
@@ -499,9 +502,22 @@ class RankOracle:
     component is a pure function of (start, cap, cyclic), and holds only
     each member's predecessor: `_trace` derives the moves again.  A cyclic
     entry keeps every member, which `is_simple` and `_conjugacy_test` read
-    encoded; a linear entry is the tuple (applications, min_word, pred,
-    ..., start) of its least word's predecessor chain, which
-    `_Component.from_chain` reads."""
+    encoded; a linear entry is the tuple (applications, mirror_min,
+    min_word, pred, ..., start): `mirror_min` is the least inverse of a
+    member, and the rest is its least word's predecessor chain, which
+    `_Component.from_chain` reads.
+
+    The mirror rule.  The contexts are every rotation of every relator and
+    of its inverse, so w -> w' is a move exactly when w^-1 -> w'^-1 is one,
+    and `_linear_cap` depends only on |w| and on whether w is over {a, b},
+    both kept by inversion.  So the linear component of u within a cap is
+    the set of inverses of the members of u^-1's component within that
+    cap, with as many states and charged moves: it is complete, within a
+    budget, exactly when u^-1's is, and its least word is u^-1's entry's
+    `mirror_min`.  Only `canonical` answers from that entry, with no search:
+    `equal` and `norm` return a trace from their own start word, so they
+    search or read their own entry, and no witness depends on what the memo
+    holds."""
 
     def __init__(self, system: RelatorSystem):
         self.system = system
@@ -752,9 +768,11 @@ class RankOracle:
         of the same deterministic run: verdicts and witnesses never depend on
         memo warmth, only state counts do.)  A cyclic entry holds every
         member with its predecessor; a linear entry is the tuple
-        (applications, min_word, pred, ..., start) of the least word's
-        chain, rebuilt by `_Component.from_chain` on a hit, though the fresh
-        run returns its whole component."""
+        (applications, mirror_min, min_word, pred, ..., start): the least
+        `inverse_encoded` member, by shortlex, taken while the whole run is
+        at hand, then the least word's chain, rebuilt by
+        `_Component.from_chain` on a hit, though the fresh run returns its
+        whole component."""
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
         if hit is not None and (hit.applications if cyclic else hit[0]) \
@@ -792,7 +810,8 @@ class RankOracle:
             if cyclic:
                 self._components[memo_key] = comp
             else:
-                chain, w = [applications], min_word
+                mirror_min = min(map(inverse_encoded, parents), key=_encoded_key)
+                chain, w = [applications, mirror_min], min_word
                 while w is not None:
                     chain.append(w)
                     w = parents[w]
@@ -943,10 +962,20 @@ class RankOracle:
 
     def canonical(self, u: Sequence[int] | Word, budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
         """Shortlex-least word in the bounded rewriting component; flag states
-        whether the component was exhausted."""
+        whether the component was exhausted.
+
+        When the memo holds no entry for u but holds the complete one of
+        u^-1 at the same cap, within the budget, the answer is that entry's
+        `mirror_min` (the class docstring's mirror rule): no search runs and
+        no entry is stored."""
         budget = budget or DEFAULT_BUDGET
         w = _letters(u)
-        comp = self._closure(encode_letters(w), self._linear_cap(w, budget), budget, cyclic=False)
+        code, cap = encode_letters(w), self._linear_cap(w, budget)
+        if (code, cap, False) not in self._components:
+            mirror = self._components.get((inverse_encoded(code), cap, False))
+            if mirror is not None and mirror[0] <= budget.max_relator_applications:
+                return decode_letters(mirror[1]), True
+        comp = self._closure(code, cap, budget, cyclic=False)
         return comp.min_word, comp.complete
 
     def cyclic_component(self, u: Sequence[int] | Word,

@@ -95,6 +95,20 @@ def decode_letters(s: str) -> tuple[int, ...]:
     return tuple(map(_char_letter_of, s))
 
 
+# code -> the code of the inverse letter, for `str.translate`
+_INVERSE_CODES = _Table(lambda c: c ^ 1)
+
+
+def inverse_encoded(s: str) -> str:
+    """The encoding of the inverse word: the codes reversed, each c mapped
+    to c ^ 1.
+
+    >>> decode_letters(inverse_encoded(encode_letters((3, -1, 2))))
+    (-2, 1, -3)
+    """
+    return s[::-1].translate(_INVERSE_CODES)
+
+
 # the letters of the subgroup H = <a, b>, in letter_key order
 AB_LETTERS = (1, -1, 2, -2)
 # an encoded word is over {a, b} when this set holds all its letters

@@ -34,6 +34,8 @@ from burnlab.words import (
     decode_letters,
     encode_letters,
     free_conjugate,
+    inverse_encoded,
+    inverse_letters,
     is_ab_letter,
     is_ab_word,
     min_rotation,
@@ -458,7 +460,8 @@ class TestMemo:
         first = oracle._closure(start, 5, OracleBudget(), cyclic=False)
         assert first.complete and first.states > 1
         entry = oracle._components[start, 5, False]
-        assert type(entry) is tuple and entry[:2] == (first.applications, first._min_word)
+        assert type(entry) is tuple and (entry[0], entry[2]) == (first.applications,
+                                                                  first._min_word)
 
         def no_search(*args):
             raise AssertionError("a memoized component was searched again")
@@ -553,9 +556,10 @@ class TestMemo:
         u = Word.parse("b.s1.s1.s1.B")
         warm = RankOracle(system)
         assert warm.canonical(u, budget) == ((), True)
-        (entry,) = warm._components.values()  # (applications, min_word, ..., start)
+        # (applications, mirror_min, min_word, ..., start)
+        (entry,) = warm._components.values()
         states = entry[0] + 1
-        assert len(entry[1:]) < states
+        assert len(entry[2:]) < states
 
         def answers(oracle):
             verdict, norm = oracle.equal(u, (), budget), oracle.norm(u, budget)
@@ -576,11 +580,11 @@ class TestMemo:
         enumerate_ball(p_k3_m1_r2, 2, 3, budget)
         oracle = p_k3_m1_r2.oracle(2)
         entries = [(key, entry) for key, entry in oracle._components.items() if not key[2]]
-        assert entries and any(len(entry) - 1 < entry[0] + 1 for _, entry in entries)
+        assert entries and any(len(entry) - 2 < entry[0] + 1 for _, entry in entries)
         for (start, cap, _), entry in entries:
-            # (applications, min_word, pred, ..., start): the chain runs from
-            # the least word back to the start
-            applications, chain = entry[0], entry[1:]
+            # (applications, mirror_min, min_word, pred, ..., start): the
+            # chain runs from the least word back to the start
+            applications, mirror_min, chain = entry[0], entry[1], entry[2:]
             assert chain[-1] == start
             fresh = RankOracle(oracle.system)._closure(
                 start, cap, OracleBudget(max_relator_applications=max(1, applications)),
@@ -589,11 +593,78 @@ class TestMemo:
             assert ((applications + 1, applications, chain[0])
                     == (fresh.states, fresh.applications, fresh._min_word))
             assert [fresh.parents[w] for w in chain] == [*chain[1:], None]
+            # mirror_min is the least inverse of a member of the whole run
+            assert decode_letters(mirror_min) == min(
+                (inverse_letters(decode_letters(w)) for w in fresh.parents), key=shortlex_key)
             # and a memo hit rebuilds that chain with the whole run's counts
             comp = oracle._closure(start, cap, OracleBudget(), cyclic=False)
             assert ((comp.states, comp.applications, comp._min_word, comp.complete, comp.cap)
                     == (fresh.states, fresh.applications, fresh._min_word, True, cap))
             assert comp.parents == dict(zip(chain, [*chain[1:], None]))
+
+
+@pytest.fixture(scope="module")
+def mirror_systems(p_k3_m1_r2, p_k5_m2_r2):
+    return {"k3-m1": p_k3_m1_r2.relator_system(2), "k5-m2": p_k5_m2_r2.relator_system(2)}
+
+
+def reduced_words_of(system, max_size=6):
+    gens = range(1, system.alphabet.size + 1)
+    letters = st.sampled_from([x for g in gens for x in (g, -g)])
+    return st.lists(letters, max_size=max_size).map(lambda seq: Word(seq).letters)
+
+
+class TestMirror:
+    """`canonical(u)` is served from the memo entry of u^-1 at the same cap
+    (the mirror rule in `RankOracle`): with no search, nothing stored, and
+    exactly the cold search's answer."""
+
+    @pytest.mark.parametrize("which", ["k3-m1", "k5-m2"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mirror_served_answer_is_the_cold_one(self, mirror_systems, which, data):
+        system = mirror_systems[which]
+        u = data.draw(reduced_words_of(system))
+        warm = RankOracle(system)
+        warm.canonical(inverse_letters(u))
+        held = dict(warm._components)
+
+        def no_search(*args):
+            raise AssertionError("a mirror-served query searched")
+
+        warm._linear_successors = no_search
+        assert warm.canonical(u) == RankOracle(system).canonical(u)
+        assert warm._components == held
+
+    @pytest.mark.parametrize("which", ["k3-m1", "k5-m2"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_application_short_searches(self, mirror_systems, which, data):
+        system = mirror_systems[which]
+        u = data.draw(reduced_words_of(system))
+        warm = RankOracle(system)
+        warm.canonical(inverse_letters(u))
+        cap = warm._linear_cap(u, OracleBudget())
+        applications = warm._components[encode_letters(inverse_letters(u)), cap, False][0]
+        assume(applications >= 2)
+        short = OracleBudget(max_relator_applications=applications - 1)
+        # the inverse entry is over this budget, so u's own search runs and
+        # stops incomplete, as a cold one does
+        answer = warm.canonical(u, short)
+        assert answer == RankOracle(system).canonical(u, short)
+        assert not answer[1]
+
+    def test_a_served_answer_adds_no_entry(self, p_k3_m1_r2, budget):
+        # at rank 2, (a.s1)^2 = S1.A and so (S1.A)^2 = a.s1: the oracle
+        # holds only the entry of u^-1 and serves u from it
+        system = p_k3_m1_r2.relator_system(2)
+        u = Word.parse("a.s1.a.s1").letters
+        warm = RankOracle(system)
+        assert warm.canonical(inverse_letters(u), budget) == (Word.parse("a.s1").letters, True)
+        (key,) = warm._components
+        assert warm.canonical(u, budget) == (Word.parse("S1.A").letters, True)
+        assert list(warm._components) == [key]
+        assert key[0] == inverse_encoded(encode_letters(u))
 
 
 class TestReachabilityWithinACap:

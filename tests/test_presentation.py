@@ -305,6 +305,34 @@ class TestFirstRejectingWord:
         assert checked == 5
 
 
+class TestCanonicallyDistinctYetEqual:
+    """At k=3, m=1, rank 5, a^6 and A^6 both have complete canonical forms
+    that differ, and no certificate separates them, yet a^6 = A^6: A^4 is
+    conjugate to p^2 for the period p = a.a.s1.A.S1, p^3 is a relator, so
+    A^12 = 1.  A ball holding both elements counts one element twice while
+    every canonicalization in it is complete."""
+
+    def test_a6_and_A6(self, budget):
+        pres = golden_presentation("build-rank5-k3")
+        system = pres.relator_system(5)
+        a6, A6 = Word.parse("aaaaaa"), Word.parse("AAAAAA")
+        cold = [RankOracle(system).canonical(w, budget) for w in (a6, A6)]
+        assert cold == [(a6.letters, True), (A6.letters, True)]
+        # the second query is served from the first one's entry
+        warm = RankOracle(system)
+        assert [warm.canonical(w, budget) for w in (a6, A6)] == cold
+        assert len(warm._components) == 1
+
+        verdict = RankOracle(system).equal(a6, A6, budget)
+        assert verdict.is_no and verdict.certificate["kind"] == "exhaustion"
+
+        period_squared = Word.parse("a.a.s1.A.S1.a.a.s1.A.S1")
+        conj = RankOracle(system).conjugate(Word.parse("AAAA"), period_squared, budget)
+        assert conj.is_yes
+        assert verify_conjugacy_witness(system, Word.parse("AAAA").letters,
+                                        period_squared.letters, conj.witness)
+
+
 def reference_p3(pres, budget):
     """Status of every pair P3 asks about, keyed (rank, i1, i2, inverse?),
     and the P3 failures they give, from one `RankOracle.conjugate` query per

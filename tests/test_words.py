@@ -18,6 +18,7 @@ from burnlab.words import (
     exponent_vector,
     free_ball_size,
     free_conjugate,
+    inverse_encoded,
     inverse_letters,
     is_ab_letter,
     is_ab_word,
@@ -223,6 +224,13 @@ class TestEncoding:
                 [ord(c) ^ 1 for c in reversed(s)]
         assert (sorted(words, key=lambda w: (len(w), encode_letters(w)))
                 == sorted(words, key=shortlex_key))
+
+    @pytest.mark.parametrize("m", [1, 3, MAX_ALPHABET_M])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_inverse_encoded_is_the_inverse_word(self, m, data):
+        w = data.draw(reduced_words_at(m))
+        assert decode_letters(inverse_encoded(encode_letters(w))) == inverse_letters(w)
 
     def test_the_bound_alphabet_encodes_every_letter(self):
         top = MAX_ALPHABET_M + 2
