@@ -52,9 +52,7 @@ _BUDGET_FIELDS = ("max_ball_radius", "max_relator_applications")
 # gate records as a caveat rather than hiding
 _DEFAULTS = {
     "m": 1,
-    "params": {"k": 3, "alpha": "1/100", "beta": "1/200", "gamma": "1/300",
-               "epsilon": "1/1000", "zeta": "1/2000", "h": 12,
-               "allow_small_k": True},
+    "params": SmallCancellationParams(allow_small_k=True).to_dict(),
     "budget": {},
     "seed": None,
     "out_dir": ".",

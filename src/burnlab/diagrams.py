@@ -34,7 +34,7 @@ from .errors import InputError, InvariantViolation, StateError
 from .oracle import (OracleBudget, ReplayError, Verdict, insert_material, inverse_letters,
                      replay_trace)
 from .presentation import read_field
-from .records import Frozen, Record
+from .records import Record
 from .words import CyclicWord, Word, _letter_token, _token_letter, min_rotation, reduce_letters
 
 
@@ -53,22 +53,25 @@ class Face(Record):
     rank: Optional[int] = None
 
 
-class Diagram(Frozen):
-    """Immutable labeled map.  Topology is "circular" or "annular"."""
+class Diagram(Record):
+    """Immutable labeled map.  Topology is "circular" or "annular".  The
+    vertices, edges (by id) and faces (by id) are stored sorted."""
 
-    __slots__ = ("topology", "vertices", "edges", "faces", "contours", "_by_id")
+    topology: str
+    vertices: tuple[str, ...]
+    edges: tuple[Edge, ...]
+    faces: tuple[Face, ...]
+    contours: tuple[tuple[str, ...], ...]
 
-    def __init__(self, topology: str, vertices: Sequence[str],
-                 edges: Sequence[Edge], faces: Sequence[Face],
-                 contours: Sequence[Sequence[str]]):
-        if topology not in ("circular", "annular"):
+    def __post_init__(self):
+        if self.topology not in ("circular", "annular"):
             raise InputError("topology must be circular or annular")
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "vertices", tuple(sorted(vertices)))
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: e.id)))
-        object.__setattr__(self, "faces", tuple(sorted(faces, key=lambda f: f.id)))
-        object.__setattr__(self, "contours", tuple(tuple(c) for c in contours))
-        object.__setattr__(self, "_by_id", {e.id: e for e in self.edges})
+        d = self.__dict__
+        d["vertices"] = tuple(sorted(self.vertices))
+        d["edges"] = tuple(sorted(self.edges, key=lambda e: e.id))
+        d["faces"] = tuple(sorted(self.faces, key=lambda f: f.id))
+        d["contours"] = tuple(tuple(c) for c in self.contours)
+        d["_by_id"] = {e.id: e for e in d["edges"]}
 
     def edge(self, eid: str) -> Edge:
         e = self._by_id.get(eid)
@@ -81,17 +84,6 @@ class Diagram(Frozen):
 
     def label_word(self, edge_ids: Sequence[str]) -> tuple[int, ...]:
         return tuple(self.edge(eid).label for eid in edge_ids)
-
-    def __eq__(self, other):
-        if not isinstance(other, Diagram):
-            return NotImplemented
-        return (self.topology, self.vertices, self.edges, self.faces,
-                self.contours) == (other.topology, other.vertices, other.edges,
-                                   other.faces, other.contours)
-
-    def __hash__(self):
-        return hash((self.topology, self.vertices, self.edges, self.faces,
-                     self.contours))
 
     def to_dict(self) -> dict:
         return {

@@ -41,7 +41,6 @@ from .words import (
     inverse_letters,
     is_ab_word,
     min_rotation,
-    shortlex_key,
 )
 
 MAX_RELATOR_LETTERS = 10_000
@@ -142,8 +141,9 @@ class SmallCancellationParams(Record, uncompared=("caveats",)):
     caveats: tuple[str, ...] = ()
 
     def __post_init__(self):
+        d = self.__dict__
         for name in ("alpha", "beta", "gamma", "epsilon", "zeta"):
-            object.__setattr__(self, name, _fraction_field(getattr(self, name)))
+            d[name] = _fraction_field(d[name])
         if not isinstance(self.k, int) or not isinstance(self.h, int) or self.h < 1:
             raise InputError("k and h must be integers, h >= 1")
         violations = self.violations()
@@ -153,13 +153,8 @@ class SmallCancellationParams(Record, uncompared=("caveats",)):
             lines = "; ".join("%s: %s" % v for v in violations)
             raise InputError("parameter gate failed: %s" % lines)
         if soft:
-            object.__setattr__(
-                self,
-                "caveats",
-                tuple(
-                    "%s waived by allow_small_k: %s" % (code, msg) for code, msg in soft
-                ),
-            )
+            d["caveats"] = tuple(
+                "%s waived by allow_small_k: %s" % (code, msg) for code, msg in soft)
 
     def violations(self) -> list[tuple[str, str]]:
         out = []
@@ -270,10 +265,8 @@ def _format(s: str) -> str:
 
 def canonical_cyclic_candidates(alphabet: Alphabet, length: int) -> list[tuple[int, ...]]:
     """Cyclically reduced words of the given length that equal their own
-    shortlex-least rotation, in shortlex order."""
-    out = [t for t in cyclically_reduced_words(alphabet, length) if min_rotation(t) == t]
-    out.sort(key=shortlex_key)
-    return out
+    shortlex-least rotation, in shortlex order: `reduced_words` yields them so."""
+    return [t for t in cyclically_reduced_words(alphabet, length) if min_rotation(t) == t]
 
 
 class GradedPresentation:
@@ -286,7 +279,6 @@ class GradedPresentation:
         self.params = params
         self._periods: list[tuple[Word, ...]] = []
         self._approximate: list[bool] = []
-        self._systems: dict[int, RelatorSystem] = {}
         self._oracles: dict[int, RankOracle] = {}
         self._power_reps: dict[int, dict[str, tuple[int, int]]] = {}
         for periods, approximate in ranks:
@@ -349,15 +341,14 @@ class GradedPresentation:
         return out
 
     def relator_system(self, rank: int) -> RelatorSystem:
-        if rank not in self._systems:
-            self._systems[rank] = RelatorSystem(
-                self.alphabet, self.relators(rank), alpha_bar=self.params.alpha_bar
-            )
-        return self._systems[rank]
+        return self.oracle(rank).system
 
     def oracle(self, rank: int) -> RankOracle:
+        """The rank-`rank` oracle over its relator system, both built on
+        first use and kept until `build` releases them."""
         if rank not in self._oracles:
-            self._oracles[rank] = RankOracle(self.relator_system(rank))
+            self._oracles[rank] = RankOracle(RelatorSystem(
+                self.alphabet, self.relators(rank), alpha_bar=self.params.alpha_bar))
         return self._oracles[rank]
 
     # simplicity ------------------------------------------------------------
@@ -480,10 +471,10 @@ class GradedPresentation:
               budget: Optional[OracleBudget] = None
               ) -> tuple["GradedPresentation", list[BuildReport]]:
         """A presentation built by `build_next_rank` up to `up_to_rank`, and
-        the report of each rank.  Each rank's oracle, with its memo, is
-        released once the next rank is appended: no later step of the build
-        reads it, and verdicts do not depend on memo warmth, so `oracle`
-        builds it again, cold, for a caller that asks."""
+        the report of each rank.  Each rank's oracle, with its memo and its
+        relator system, is released once the next rank is appended: no later
+        step of the build reads it, and verdicts do not depend on memo
+        warmth, so `oracle` builds it again, cold, for a caller that asks."""
         if up_to_rank < 0:
             raise InputError("up_to_rank must be >= 0")
         pres = cls(alphabet, params)

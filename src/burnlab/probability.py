@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 from .cayley import FLAG_EXACT, enumerate_ball
 from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem, Verdict
-from .records import Frozen, Record
+from .records import Record
 from .words import (
     Word,
     cyclic_rep,
@@ -47,7 +47,7 @@ MAX_LAW_LETTERS = 10_000
 MAX_LAW_NESTING = 100
 
 
-class GroupLaw(Frozen):
+class GroupLaw(Record, uncompared=("text",)):
     """A nontrivial word in variables x1, x2.
 
     Text grammar: juxtaposition is product, `^` takes integer powers,
@@ -58,19 +58,19 @@ class GroupLaw(Frozen):
     `text` is only how the law was written.
     """
 
-    __slots__ = ("letters", "text")
+    letters: tuple[int, ...]
+    text: str = ""
 
     MAX_VARS = 2
 
-    def __init__(self, letters: Sequence[int], text: str = ""):
-        lst = reduce_letters(tuple(letters))
+    def __post_init__(self):
+        lst = reduce_letters(tuple(self.letters))
         if not lst:
             raise InputError("law is freely trivial as written")
         for l in lst:
             if not (1 <= abs(l) <= self.MAX_VARS):
                 raise InputError("law variables must be x1..x%d" % self.MAX_VARS)
-        object.__setattr__(self, "letters", lst)
-        object.__setattr__(self, "text", text or self._render(lst))
+        self.__dict__.update(letters=lst, text=self.text or self._render(lst))
 
     @staticmethod
     def _render(letters) -> str:
@@ -106,12 +106,6 @@ class GroupLaw(Frozen):
             w = assignment[abs(l) - 1].letters
             out = splice_reduce(out, w if l > 0 else inverse_letters(w), ())
         return Word._raw(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupLaw) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
 
     def __repr__(self):
         return "GroupLaw(%r)" % self.text
@@ -193,7 +187,7 @@ def _parse_product(toks, pos, stop, depth=0):
     return letters, pos
 
 
-class StepDistribution(Frozen):
+class StepDistribution(Record):
     """Finitely supported step law for random walks: pairs (word, prob) with
     exact positive Fractions summing to 1.
 
@@ -209,14 +203,13 @@ class StepDistribution(Frozen):
     sorts in shortlex order of the words.
     """
 
-    __slots__ = ("support", "maybe_degenerate", "probe_depth", "thresholds",
-                 "_draws")
+    support: tuple[tuple[Word, Fraction], ...]
 
-    def __init__(self, support: Sequence[tuple[Word, Fraction]]):
+    def __post_init__(self):
         pairs = []
         total = Fraction(0)
         seen = set()
-        for w, p in support:
+        for w, p in self.support:
             if not isinstance(w, Word):
                 w = Word(w)
             p = Fraction(p)
@@ -232,15 +225,14 @@ class StepDistribution(Frozen):
         if not pairs:
             raise InputError("empty support")
         pairs.sort(key=lambda wp: (len(wp[0].letters), wp[0].letters))
-        object.__setattr__(self, "support", tuple(pairs))
-        object.__setattr__(self, "thresholds",
-                           tuple(accumulate(float(p) for _, p in pairs)))
+        d = self.__dict__
+        d["support"] = tuple(pairs)
+        d["thresholds"] = tuple(accumulate(float(p) for _, p in pairs))
         # indexed by bisect_right(thresholds, u): the repeated last word is
         # the fall-back for u at or above the float sum
-        object.__setattr__(self, "_draws", tuple(w for w, _ in pairs) + (pairs[-1][0],))
-        depth = 2 * max(len(w.letters) for w, _ in pairs) or 1
-        object.__setattr__(self, "probe_depth", depth)
-        object.__setattr__(self, "maybe_degenerate", not self._probe(depth))
+        d["_draws"] = tuple(w for w, _ in pairs) + (pairs[-1][0],)
+        d["probe_depth"] = depth = 2 * max(len(w.letters) for w, _ in pairs) or 1
+        d["maybe_degenerate"] = not self._probe(depth)
 
     def _probe(self, depth: int) -> bool:
         need = set()
@@ -272,12 +264,6 @@ class StepDistribution(Frozen):
 
     def draw(self, rng: random.Random) -> Word:
         return self._draws[bisect_right(self.thresholds, rng.random())]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StepDistribution) and self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash(self.support)
 
     def __repr__(self):
         return "StepDistribution(%s)" % ", ".join(

@@ -3,11 +3,16 @@
 `Record` stands in for ``@dataclass(frozen=True)``: importing the dataclass
 module (with inspect, ast, dis and tokenize) and running the code it
 generates for each class took about two thirds of ``import burnlab.cli``.
+Every value class of the package is a `Record` but two, which use `Frozen`
+alone: `words.Word`, whose slot and ``_raw`` constructor sit in every hot
+loop of the word algebra, and `cayley.QuadExt`, which compares equal to
+plain rationals across types.
 """
 
 
 class Frozen:
-    """Mixin for classes that set their slots in ``__init__`` through
+    """Immutability for `Record` and for the slotted classes `Word` and
+    `QuadExt`, which set their slots in ``__init__`` through
     ``object.__setattr__``; after that nothing sets or deletes them."""
 
     __slots__ = ()
@@ -29,7 +34,9 @@ class Frozen:
 class Record(Frozen):
     """A frozen dataclass without the code generation.  The annotated names
     are the fields, class attributes their defaults; fields named in the
-    class keyword ``uncompared`` stay out of ``==`` and ``hash``."""
+    class keyword ``uncompared`` stay out of ``==`` and ``hash``.
+    ``__post_init__`` validates and normalises, setting fields and derived
+    attributes (which are not fields) through ``self.__dict__``."""
 
     __slots__ = ()
     _fields: tuple = ()

@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .records import Frozen
+from .records import Frozen, Record
 
 # generator indices have at most this many digits, counted before int() so
 # that it never meets a huge literal; no alphabet a run can enumerate nears 10^18
@@ -424,7 +424,7 @@ class Word(Frozen):
         return "Word(%r)" % self.format()
 
 
-class CyclicWord(Frozen):
+class CyclicWord(Record):
     """A conjugacy-style cyclic word: cyclically reduced, stored as the
     shortlex-least rotation.  Two words give equal CyclicWords iff their
     cyclic reductions are rotations of each other.
@@ -433,10 +433,10 @@ class CyclicWord(Frozen):
     True
     """
 
-    __slots__ = ("rep",)
+    rep: tuple[int, ...]
 
-    def __init__(self, letters: Iterable[int]):
-        object.__setattr__(self, "rep", cyclic_rep(letters))
+    def __post_init__(self):
+        self.__dict__["rep"] = cyclic_rep(self.rep)
 
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":
@@ -444,12 +444,6 @@ class CyclicWord(Frozen):
 
     def __len__(self) -> int:
         return len(self.rep)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CyclicWord) and self.rep == other.rep
-
-    def __hash__(self) -> int:
-        return hash(("cyc", self.rep))
 
     def __lt__(self, other: "CyclicWord") -> bool:
         return shortlex_key(self.rep) < shortlex_key(other.rep)
@@ -481,31 +475,25 @@ def periodic_word(period: Word, length: int) -> Word:
     return Word._raw(tuple(p[i % len(p)] for i in range(length)))
 
 
-class Alphabet(Frozen):
+class Alphabet(Record):
     """Generator roster {a, b, s_1..s_m}.  m >= 0; total generator count m+2.
 
     >>> Alphabet(1).letters()
     [1, -1, 2, -2, 3, -3]
     """
 
-    __slots__ = ("m",)
+    m: int
 
-    def __init__(self, m: int):
+    def __post_init__(self):
+        m = self.m
         if not isinstance(m, int) or m < 0:
             raise InputError("m must be a nonnegative integer, got %r" % (m,))
         if m > MAX_ALPHABET_M:
             raise InputError("m exceeds MAX_ALPHABET_M = %d" % MAX_ALPHABET_M)
-        object.__setattr__(self, "m", m)
 
     @property
     def size(self) -> int:
         return self.m + 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Alphabet) and self.m == other.m
-
-    def __hash__(self) -> int:
-        return hash(("alphabet", self.m))
 
     def letters(self) -> list[int]:
         out = []
@@ -526,9 +514,6 @@ class Alphabet(Frozen):
 
     def parse(self, text: str) -> Word:
         return self.validate_word(Word.parse(text))
-
-    def __repr__(self) -> str:
-        return "Alphabet(m=%d)" % self.m
 
 
 def reduced_words(alphabet: Alphabet, length: int, letters: Sequence[int] | None = None) -> Iterator[tuple[int, ...]]:

@@ -12,7 +12,7 @@ import pytest
 from burnlab import cli
 from burnlab.errors import BurnlabError
 from burnlab.oracle import OracleBudget
-from burnlab.presentation import GradedPresentation
+from burnlab.presentation import GradedPresentation, SmallCancellationParams
 from burnlab.words import MAX_ALPHABET_M
 
 DIAGRAM_DIR = Path(__file__).parent / "data" / "diagrams"
@@ -517,6 +517,11 @@ class TestConfig:
         loaded = cli.load_config(args)
         assert loaded.seed is None
         assert loaded.budget == OracleBudget(max_ball_radius=3)
+
+    def test_defaults_are_the_parameter_defaults(self):
+        loaded = cli.load_config(cli.build_parser().parse_args(["build", "--max-rank", "0"]))
+        assert loaded.params == SmallCancellationParams(allow_small_k=True)
+        assert (loaded.m, loaded.budget, loaded.seed) == (1, OracleBudget(), None)
 
     def test_budget_surface_names_one_field_set(self, capsys):
         fields = set(OracleBudget._fields)

@@ -29,6 +29,7 @@ from burnlab.words import (
     decode_letters,
     encode_letters,
     is_ab_letter,
+    shortlex_key,
 )
 
 from conftest import small_k_params
@@ -184,6 +185,12 @@ class TestFrozenBuilds:
         assert reasons["aa"] == "free-power"
         assert reasons["s1.S1"] is None if "s1.S1" in reasons else True
         assert reasons["s1.s1"] == "free-power"
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_candidates_come_in_shortlex_order(self, m):
+        for n in range(7):
+            candidates = canonical_cyclic_candidates(Alphabet(m), n)
+            assert candidates == sorted(candidates, key=shortlex_key), (m, n)
 
 
 class TestSimplicity:
@@ -576,3 +583,5 @@ class TestBuildDriver:
         assert reports == kept_reports
         # a released oracle is built again, cold, with the same answers
         assert pres.verify_structure(budget) == kept.verify_structure(budget)
+        # one cache per rank: the relator system is the oracle's own
+        assert pres.relator_system(3) is pres.oracle(3).system

@@ -1,20 +1,26 @@
-"""Value semantics of `Record`, the base of the package's records, and of the
-`Frozen` mixin of the hand-written immutable classes: the behaviour the
-frozen dataclasses they replace had, pinned to the strings they printed."""
+"""Value semantics of `Record`, the base of the package's value classes, and
+of the `Frozen` mixin that `Record`, `Word` and `QuadExt` share: the
+behaviour the frozen dataclasses and hand-written classes they replace had,
+pinned to the strings they printed."""
 
 import copy
+import importlib
+import inspect
 import json
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import burnlab
 from burnlab.cayley import QuadExt
-from burnlab.diagrams import Diagram
+from burnlab.diagrams import Diagram, Edge, Face
 from burnlab.errors import InputError
 from burnlab.oracle import BudgetUse, OracleBudget, Relator, Verdict
 from burnlab.presentation import CandidateRecord, SimplicityVerdict, SmallCancellationParams
 from burnlab.probability import GroupLaw, StepDistribution
+from burnlab.records import Frozen, Record
 from burnlab.words import Alphabet, CyclicWord, Word
 
 NO_RANK0 = Verdict("no", certificate={"kind": "rank-0", "op": "equal"},
@@ -121,12 +127,28 @@ class TestFrozen:
         hash(obj)
 
 
+def _loop(edge_ids=("e0", "e1")):
+    """A one-vertex circular diagram: one cell on the loop labelled a."""
+    e0, e1 = edge_ids
+    return Diagram("circular", ("v0",),
+                   [Edge(e1, "v0", "v0", -1, e0), Edge(e0, "v0", "v0", 1, e1)],
+                   [Face("f1", (e1,), "outer"), Face("f0", (e0,), "cell", 1)], [(e1,)])
+
+
+def _step():
+    return StepDistribution([(Word((3,)), Fraction(1, 2)), (Word(()), Fraction(1, 4)),
+                             (Word((-1, 2)), Fraction(1, 4))])
+
+
 COPYABLE = [
     ("Word", lambda: Word((1, 2)), "letters"),
     ("CyclicWord", lambda: CyclicWord((1, 2)), "rep"),
     ("Alphabet", lambda: Alphabet(1), "m"),
+    ("GroupLaw", lambda: GroupLaw.parse("[x1, x2]^2"), "letters"),
+    ("StepDistribution", _step, "support"),
     ("QuadExt", lambda: QuadExt(1, 1, 2), "x"),
     ("BudgetUse", lambda: BudgetUse(2, 2, 5, False), "states"),
+    ("Diagram", _loop, "edges"),
 ]
 
 
@@ -143,3 +165,62 @@ def test_copies_are_equal_and_stay_frozen(name, make, attr, duplicate):
     with pytest.raises(AttributeError, match="^%s is immutable$" % name):
         delattr(again, attr)
     assert getattr(again, attr) == getattr(obj, attr)
+    assert repr(again) == repr(obj)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copies_keep_the_derived_attributes(duplicate):
+    step, loop = _step(), _loop()
+    derived = lambda nu: (nu.thresholds, nu._draws, nu.probe_depth, nu.maybe_degenerate)
+    assert derived(duplicate(step)) == derived(step)
+    again = duplicate(loop)
+    assert again._by_id == loop._by_id and again.edge("e0") == loop.edge("e0")
+
+
+def _package_classes():
+    """Every class defined in a module of the package, each module imported."""
+    for info in pkgutil.iter_modules(burnlab.__path__):
+        module = importlib.import_module("burnlab." + info.name)
+        yield from (c for _, c in inspect.getmembers(module, inspect.isclass)
+                    if c.__module__ == module.__name__)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestOneValueIdiom:
+    def test_only_word_and_quadext_are_frozen_without_record(self):
+        list(_package_classes())  # imports every module of the package
+        assert {c.__name__ for c in _subclasses(Frozen) if c.__module__.startswith("burnlab.")
+                and not issubclass(c, Record)} == {"Word", "QuadExt"}
+
+    def test_only_record_word_and_quadext_write_eq_and_hash(self):
+        writers = {c.__name__ for c in _package_classes()
+                   if "__eq__" in vars(c) or "__hash__" in vars(c)}
+        assert writers == {"Record", "Word", "QuadExt"}
+
+    def test_reprs_are_unchanged(self):
+        assert repr(Alphabet(2)) == "Alphabet(m=2)"
+        assert repr(CyclicWord((3, 1, -3, 2, 1))) == "CyclicWord('a.s1.a.S1.b')"
+        assert repr(GroupLaw.parse("[x1, x2]^2")) == "GroupLaw('[x1, x2]^2')"
+        assert repr(GroupLaw((1, 1, 1))) == "GroupLaw('x1 x1 x1')"
+        assert repr(_step()) == "StepDistribution(Word(''):1/4, Word('s1'):1/2, Word('Ab'):1/4)"
+        assert repr(_loop()) == "Diagram(circular, V=1, E=1, cells=1)"
+
+    def test_equality_is_by_value(self):
+        assert CyclicWord((3, 1, -3)) == CyclicWord([1]) != CyclicWord((2,))
+        assert hash(CyclicWord((3, 1, -3))) == hash(CyclicWord((1,)))
+        assert Alphabet(m=2) == Alphabet(2) != Alphabet(1)
+        assert hash(Alphabet(2)) == hash(Alphabet(m=2))
+        # GroupLaw and StepDistribution: tests/test_probability.py
+        loop = _loop()
+        # the edges and faces are stored sorted, so their input order is lost
+        shuffled = Diagram(loop.topology, loop.vertices, loop.edges[::-1], loop.faces[::-1],
+                           loop.contours)
+        assert shuffled == loop and hash(shuffled) == hash(loop)
+        assert loop != _loop(("e0", "e2"))
