@@ -31,11 +31,11 @@ from .words import (
     AB_LETTERS,
     Alphabet,
     cyclic_reduce_letters,
+    decode_letters,
+    encode_letters,
     free_ball_size,
     is_ab_word,
-    letter_key,
     reduced_words_up_to,
-    shortlex_key,
     splice_reduce,
 )
 
@@ -67,22 +67,28 @@ def enumerate_ball(presentation, rank: int, radius: int,
     canonicalization that fails to exhaust its rewriting component downgrades
     the flag to upper-bound: unmerged duplicates can only inflate the count.
     Expansion order is sorted, so output is independent of scheduling.
+
+    The search runs on `words.encode_letters` strings through
+    `RankOracle.canonical_encoded`: a step from w by the letter code c is
+    w[:-1] when c inverts w's last letter, else w + c, and an encoded list
+    sorts by shortlex as a stable sort by length after a plain sort.  Only
+    the elements are decoded, at the end.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
-    oracle = presentation.oracle(rank)
-    gens = sorted(letters if letters is not None else presentation.alphabet.letters(),
-                  key=letter_key)
+    canonical = presentation.oracle(rank).canonical_encoded
+    gens = sorted(encode_letters(
+        letters if letters is not None else presentation.alphabet.letters()))
     flag = FLAG_EXACT
-    known: set[tuple[int, ...]] = {()}
+    known: set[str] = {""}
     spheres: list[int] = [1]
-    frontier: list[tuple[int, ...]] = [()]
+    frontier: list[str] = [""]
     for d in range(1, radius + 1):
-        new: list[tuple[int, ...]] = []
+        new: list[str] = []
         for w in frontier:
-            for x in gens:
-                u = splice_reduce(w, (x,), ())
-                canon, complete = oracle.canonical(u, budget)
+            last = ord(w[-1]) ^ 1 if w else -1
+            for c in gens:
+                canon, complete = canonical(w[:-1] if ord(c) == last else w + c, budget)
                 if not complete:
                     flag = FLAG_UPPER
                 if canon in known:
@@ -93,10 +99,13 @@ def enumerate_ball(presentation, rank: int, radius: int,
                     flag = FLAG_UPPER
                 known.add(canon)
                 new.append(canon)
-        new.sort(key=shortlex_key)
+        new.sort()
+        new.sort(key=len)
         spheres.append(len(new))
         frontier = new
-    return BallResult(rank, radius, tuple(sorted(known, key=shortlex_key)),
+    elements = sorted(known)
+    elements.sort(key=len)
+    return BallResult(rank, radius, tuple(map(decode_letters, elements)),
                       tuple(spheres), flag)
 
 
@@ -366,6 +375,10 @@ class QuadExt(Frozen):
         return (self - other).sign() <= 0
 
     def __hash__(self):
+        # a rational equals the int or Fraction of the same value, so it
+        # hashes as that value does
+        if self.y == 0:
+            return hash(self.x)
         return hash((self.x, self.y, self.d))
 
     def __float__(self):

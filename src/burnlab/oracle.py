@@ -43,8 +43,10 @@ cyclic search, its cyclic twin) keeps: it cancels no letter, so it adds |T|
 letters and ends over the cap.
 
 Both searches run on `words.encode_letters` strings.  Queries take and
-return letter tuples and `Word`s; only `cyclic_component` hands its members
-out encoded, to `presentation`'s admission rules.
+return letter tuples and `Word`s; only two entries speak the encoding:
+`cyclic_component` hands its members out encoded, to `presentation`'s
+admission rules, and `canonical_encoded` takes and returns one encoded word,
+for `cayley.enumerate_ball`.
 """
 
 from __future__ import annotations
@@ -451,7 +453,8 @@ class _Component:
     it keeps as a chain tuple, from which `from_chain` rebuilds a component
     whose `parents` holds only the least word's predecessor chain, with the
     whole run's counts and flags.  The tuple also names the least inverse of
-    a member, which `RankOracle.canonical` reads without a component."""
+    a member; `RankOracle.canonical_encoded` reads it, and the least word,
+    straight from the tuple, without a component."""
 
     __slots__ = ("cap", "complete", "parents", "_min_word", "states", "applications",
                  "cyclic")
@@ -482,11 +485,11 @@ class _Component:
         """The complete linear component of a memo entry `chain` =
         (applications, mirror_min, min_word, pred, ..., start): its
         `parents` is {min_word: pred, ..., start: None}, read from index 2;
-        `mirror_min` serves only `RankOracle.canonical` of the inverse
-        start.  A complete search adds one word per charged move, so
-        states = applications + 1.  A linear reader needs no more:
-        `canonical` and `norm` read the least word and trace it, and `equal`
-        targets the empty word, a member exactly when it is the least."""
+        `mirror_min` serves only `RankOracle.canonical_encoded` of the
+        inverse start.  A complete search adds one word per charged move, so
+        states = applications + 1.  A linear reader needs no more: `norm`
+        reads the least word and traces it, and `equal` targets the empty
+        word, a member exactly when it is the least."""
         comp = cls(chain[-1], cap, False)
         comp.parents.update(zip(chain[2:], chain[3:]))
         comp._min_word, comp.applications, comp.states = chain[2], chain[0], chain[0] + 1
@@ -505,7 +508,8 @@ class RankOracle:
     encoded; a linear entry is the tuple (applications, mirror_min,
     min_word, pred, ..., start): `mirror_min` is the least inverse of a
     member, and the rest is its least word's predecessor chain, which
-    `_Component.from_chain` reads.
+    `_Component.from_chain` reads for the queries that trace it;
+    `canonical_encoded` reads a hit's min_word from the tuple alone.
 
     The mirror rule.  The contexts are every rotation of every relator and
     of its inverse, so w -> w' is a move exactly when w^-1 -> w'^-1 is one,
@@ -514,7 +518,8 @@ class RankOracle:
     the set of inverses of the members of u^-1's component within that
     cap, with as many states and charged moves: it is complete, within a
     budget, exactly when u^-1's is, and its least word is u^-1's entry's
-    `mirror_min`.  Only `canonical` answers from that entry, with no search:
+    `mirror_min`.  Only `canonical_encoded` (and so `canonical`) answers
+    from that entry, with no search:
     `equal` and `norm` return a trace from their own start word, so they
     search or read their own entry, and no witness depends on what the memo
     holds."""
@@ -772,7 +777,11 @@ class RankOracle:
         `inverse_encoded` member, by shortlex, taken while the whole run is
         at hand, then the least word's chain, rebuilt by
         `_Component.from_chain` on a hit, though the fresh run returns its
-        whole component."""
+        whole component.
+
+        The heap holds the shortlex keys (|w|, w) themselves, and the least
+        key seen is the least word.  Inversion keeps length, so mirror_min
+        is the least inverse of the members as long as the least word."""
         memo_key = (start, cap, cyclic)
         hit = self._components.get(memo_key)
         if hit is not None and (hit.applications if cyclic else hit[0]) \
@@ -783,12 +792,12 @@ class RankOracle:
         parents = comp.parents
         successors = self._cyclic_successors if cyclic else self._linear_successors
         max_applications = budget.max_relator_applications
-        applications, complete, min_word = 0, True, start
-        min_key = _encoded_key(start)
-        heap = [(min_key, start)]
+        applications, complete = 0, True
+        min_key = (len(start), start)
+        heap = [min_key]
         heappush, heappop = heapq.heappush, heapq.heappop
         while heap and complete:
-            _, w = heappop(heap)
+            w = heappop(heap)[1]
             for succ, _ in successors(w, cap):
                 if succ in parents:
                     continue
@@ -797,20 +806,22 @@ class RankOracle:
                     complete = False
                     break
                 parents[succ] = w
-                key = _encoded_key(succ)
+                key = (len(succ), succ)
                 if key < min_key:
-                    min_word, min_key = succ, key
-                heappush(heap, (key, succ))
+                    min_key = key
+                heappush(heap, key)
                 if stop is not None and stop(succ):
                     complete = False
                     break
+        min_word = min_key[1]
         comp.applications, comp.complete, comp._min_word = applications, complete, min_word
         comp.states = len(parents)
         if complete:
             if cyclic:
                 self._components[memo_key] = comp
             else:
-                mirror_min = min(map(inverse_encoded, parents), key=_encoded_key)
+                n = len(min_word)
+                mirror_min = min(inverse_encoded(w) for w in parents if len(w) == n)
                 chain, w = [applications, mirror_min], min_word
                 while w is not None:
                     chain.append(w)
@@ -863,16 +874,16 @@ class RankOracle:
 
     # budget plumbing -------------------------------------------------------
 
-    def _linear_cap(self, w: tuple[int, ...], budget: OracleBudget) -> int:
-        """Length cap of a linear search from w: the ball radius above |w|,
-        lowered below the ab margin for a nonempty word over {a, b}, whose
-        component is then the word alone: every move lengthens it past the
-        cap."""
+    def _linear_cap(self, code: str, budget: OracleBudget) -> int:
+        """Length cap of a linear search from the encoded word `code`: the
+        ball radius above its length, lowered below the ab margin for a
+        nonempty word over {a, b}, whose component is then the word alone:
+        every move lengthens it past the cap."""
         slack = budget.max_ball_radius
         margin = self.system.ab_margin
-        if margin is not None and margin > 0 and w and is_ab_word(w):
+        if margin is not None and margin > 0 and code and AB_CODES.issuperset(code):
             slack = min(slack, margin - 1)
-        return len(w) + slack
+        return len(code) + slack
 
     def _use(self, comp: _Component) -> BudgetUse:
         return BudgetUse(states=comp.states, applications=comp.applications,
@@ -896,8 +907,8 @@ class RankOracle:
         before the search report `size` as their cap.  `extras` go into the
         yes witness and the exhaustion certificate; a witness to an {a, b}
         word names it as "target"."""
-        cap = size + budget.max_ball_radius if cyclic else self._linear_cap(start, budget)
         code = encode_letters(start)
+        cap = size + budget.max_ball_radius if cyclic else self._linear_cap(code, budget)
         if target is not None:
             target = encode_letters(target)
         comp = _Component(code, size, cyclic)  # start alone, before any search
@@ -949,7 +960,8 @@ class RankOracle:
             return NormBounds(0, 0, True, budget_used=BudgetUse(1, 0, 0, True))
         if self.system.empty:
             return NormBounds(len(w), len(w), True, budget_used=BudgetUse(1, 0, len(w), True))
-        comp = self._closure(encode_letters(w), self._linear_cap(w, budget), budget, cyclic=False)
+        code = encode_letters(w)
+        comp = self._closure(code, self._linear_cap(code, budget), budget, cyclic=False)
         upper = len(comp._min_word)
         witness = None
         if upper < len(w):
@@ -962,21 +974,41 @@ class RankOracle:
 
     def canonical(self, u: Sequence[int] | Word, budget: Optional[OracleBudget] = None) -> tuple[tuple[int, ...], bool]:
         """Shortlex-least word in the bounded rewriting component; flag states
-        whether the component was exhausted.
+        whether the component was exhausted.  `u` is freely reduced and
+        encoded for `canonical_encoded`, and its answer decoded."""
+        code, complete = self.canonical_encoded(encode_letters(_letters(u)), budget)
+        return decode_letters(code), complete
 
-        When the memo holds no entry for u but holds the complete one of
-        u^-1 at the same cap, within the budget, the answer is that entry's
-        `mirror_min` (the class docstring's mirror rule): no search runs and
-        no entry is stored."""
+    def canonical_encoded(self, code: str, budget: Optional[OracleBudget] = None
+                          ) -> tuple[str, bool]:
+        """`canonical` of the freely reduced encoded word `code`, answered
+        encoded.
+
+        A complete memo entry for `code` at its cap, within the budget,
+        answers with its least word.  With no entry for `code`, the complete
+        one of its inverse at the same cap, within the budget, answers with
+        its `mirror_min` (the class docstring's mirror rule).  Either is read
+        from the entry's tuple: no search runs and no entry is stored.
+
+        >>> oracle = RankOracle(RelatorSystem(Alphabet(1), [Relator("r", (3, 3, 3))]))
+        >>> code, complete = oracle.canonical_encoded(encode_letters((3, 3)))
+        >>> decode_letters(code), complete  # s1.s1 = S1, as s1^3 = 1
+        ((-3,), True)
+        >>> code, complete = oracle.canonical_encoded(encode_letters((-3, -3)))
+        >>> decode_letters(code), complete, len(oracle._components)  # the mirror
+        ((3,), True, 1)
+        """
         budget = budget or DEFAULT_BUDGET
-        w = _letters(u)
-        code, cap = encode_letters(w), self._linear_cap(w, budget)
-        if (code, cap, False) not in self._components:
+        cap = self._linear_cap(code, budget)
+        entry = self._components.get((code, cap, False))
+        if entry is None:
             mirror = self._components.get((inverse_encoded(code), cap, False))
             if mirror is not None and mirror[0] <= budget.max_relator_applications:
-                return decode_letters(mirror[1]), True
+                return mirror[1], True
+        elif entry[0] <= budget.max_relator_applications:
+            return entry[2], True
         comp = self._closure(code, cap, budget, cyclic=False)
-        return comp.min_word, comp.complete
+        return comp._min_word, comp.complete
 
     def cyclic_component(self, u: Sequence[int] | Word,
                          budget: Optional[OracleBudget] = None,

@@ -486,7 +486,7 @@ class Alphabet(Record):
 
     def __post_init__(self):
         m = self.m
-        if not isinstance(m, int) or m < 0:
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise InputError("m must be a nonnegative integer, got %r" % (m,))
         if m > MAX_ALPHABET_M:
             raise InputError("m exceeds MAX_ALPHABET_M = %d" % MAX_ALPHABET_M)

@@ -5,12 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnlab.cayley import (
     FLAG_EXACT,
     FLAG_UPPER,
+    BallResult,
     QuadExt,
     density_HG,
     density_bound_chain,
@@ -24,7 +25,16 @@ from burnlab.cayley import (
     sigma_bound,
 )
 from burnlab.errors import InputError
-from burnlab.words import Alphabet, Word, free_ball_size, shortlex_key
+from burnlab.oracle import OracleBudget
+from burnlab.presentation import GradedPresentation
+from burnlab.words import (
+    Alphabet,
+    Word,
+    free_ball_size,
+    letter_key,
+    shortlex_key,
+    splice_reduce,
+)
 
 AB_LETTERS = [1, -1, 2, -2]
 
@@ -96,6 +106,91 @@ class TestBallEnumeration:
     def test_negative_radius_rejected(self, free_m1, budget):
         with pytest.raises(InputError):
             enumerate_ball(free_m1, 0, -1, budget)
+
+
+def reference_enumerate_ball(presentation, rank, radius, budget=None, letters=None):
+    """The ball search on letter tuples through `RankOracle.canonical`, as
+    `enumerate_ball` ran before it moved onto encoded words, kept as the
+    reference for that move."""
+    if radius < 0:
+        raise InputError("radius must be >= 0")
+    oracle = presentation.oracle(rank)
+    gens = sorted(letters if letters is not None else presentation.alphabet.letters(),
+                  key=letter_key)
+    flag = FLAG_EXACT
+    known: set[tuple[int, ...]] = {()}
+    spheres: list[int] = [1]
+    frontier: list[tuple[int, ...]] = [()]
+    for d in range(1, radius + 1):
+        new: list[tuple[int, ...]] = []
+        for w in frontier:
+            for x in gens:
+                u = splice_reduce(w, (x,), ())
+                canon, complete = oracle.canonical(u, budget)
+                if not complete:
+                    flag = FLAG_UPPER
+                if canon in known:
+                    continue
+                if len(canon) < d:
+                    # a shorter canonical form surfacing late means some merge
+                    # was missed at an earlier level; keep counting, flag it
+                    flag = FLAG_UPPER
+                known.add(canon)
+                new.append(canon)
+        new.sort(key=shortlex_key)
+        spheres.append(len(new))
+        frontier = new
+    return BallResult(rank, radius, tuple(sorted(known, key=shortlex_key)),
+                      tuple(spheres), flag)
+
+
+@pytest.fixture(scope="module")
+def ball_presentations(p_k3_m1_r1, p_k3_m1_r2, p_k5_m2_r2):
+    """name -> (the presentation as JSON, its top rank); each example loads
+    fresh copies, so that every search starts from an empty memo."""
+    return {"k3-m1-r1": (p_k3_m1_r1.to_json(), 1), "k3-m1-r2": (p_k3_m1_r2.to_json(), 2),
+            "k5-m2-r2": (p_k5_m2_r2.to_json(), 2)}
+
+
+tiny_budgets = st.builds(OracleBudget, max_ball_radius=st.integers(0, 4),
+                         max_relator_applications=st.integers(1, 8))
+
+
+class TestBallMatchesReference:
+    """`enumerate_ball` on encoded words returns what the letter-tuple
+    search returns, cold or warm, in elements, sphere counts and flag."""
+
+    @staticmethod
+    def answers(*balls):
+        return [(b.elements, b.sphere_counts, b.flag) for b in balls]
+
+    @given(which=st.sampled_from(["k3-m1-r1", "k3-m1-r2", "k5-m2-r2"]),
+           radius=st.integers(0, 4), ab=st.booleans(),
+           budget=st.one_of(st.none(), tiny_budgets))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, ball_presentations, which, radius, ab, budget):
+        text, rank = ball_presentations[which]
+        ref_side, new_side = (GradedPresentation.from_json(text) for _ in range(2))
+        letters = AB_LETTERS if ab else None
+        args = (rank, radius, budget)
+        expected = reference_enumerate_ball(ref_side, *args, letters=letters)
+        got = enumerate_ball(new_side, *args, letters=letters)
+        # each again on the memo the other one left
+        warm = enumerate_ball(ref_side, *args, letters=letters)
+        warm_ref = reference_enumerate_ball(new_side, *args, letters=letters)
+        assert self.answers(got, warm, warm_ref) == self.answers(expected) * 3
+
+    @pytest.mark.parametrize("which, radius, applications", [
+        ("k3-m1-r1", 4, 1), ("k3-m1-r2", 3, 2), ("k5-m2-r2", 3, 1)])
+    def test_tiny_budget_upper_bound_matches(self, ball_presentations, which, radius,
+                                             applications):
+        text, rank = ball_presentations[which]
+        budget = OracleBudget(max_relator_applications=applications)
+        got = enumerate_ball(GradedPresentation.from_json(text), rank, radius, budget)
+        expected = reference_enumerate_ball(GradedPresentation.from_json(text), rank,
+                                            radius, budget)
+        assert got.flag == FLAG_UPPER
+        assert self.answers(got) == self.answers(expected)
 
 
 class TestGrowth:
@@ -252,6 +347,23 @@ class TestQuadExt:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             QuadExt(1).x = 2
+
+    @pytest.mark.parametrize("value, equals", [
+        (QuadExt(2), 2),
+        (QuadExt(2), Fraction(2)),
+        (QuadExt(Fraction(3, 4)), Fraction(3, 4)),
+        (QuadExt(0, 1, 9), 3),  # sqrt(9) folds to the rational 3
+        (QuadExt(1, 2, 4), Fraction(5)),
+        (QuadExt(-2, 0, 5), -2),  # y = 0 under a radicand is rational too
+    ])
+    def test_rational_hashes_as_its_value(self, value, equals):
+        assert value == equals and hash(value) == hash(equals)
+        assert len({value, equals}) == 1 and {value: 1}[equals] == 1
+
+    def test_irrational_hash_contract(self):
+        r2 = QuadExt(1, 1, 2)
+        assert hash(r2) == hash(QuadExt(1, 1, 2))
+        assert len({r2, QuadExt(1, 1, 2), QuadExt(1), 1}) == 2
 
     def test_negative_radicand_rejected(self):
         with pytest.raises(InputError):

@@ -369,8 +369,8 @@ class TestWitnessReplay:
         # mismatch, not escape as StopIteration
         oracle = RankOracle(p_k3_m1_r1.relator_system(1))
         u = Word.parse("b.s1.s1.s1.B").letters
-        comp = oracle._closure(encode_letters(u), oracle._linear_cap(u, budget), budget,
-                               cyclic=False)
+        code = encode_letters(u)
+        comp = oracle._closure(code, oracle._linear_cap(code, budget), budget, cyclic=False)
         start, *members = comp.parents
         reached = {succ for succ, _ in oracle._linear_successors(start, comp.cap)}
         far = next(w for w in members if w not in reached)
@@ -644,7 +644,7 @@ class TestMirror:
         u = data.draw(reduced_words_of(system))
         warm = RankOracle(system)
         warm.canonical(inverse_letters(u))
-        cap = warm._linear_cap(u, OracleBudget())
+        cap = warm._linear_cap(encode_letters(u), OracleBudget())
         applications = warm._components[encode_letters(inverse_letters(u)), cap, False][0]
         assume(applications >= 2)
         short = OracleBudget(max_relator_applications=applications - 1)
@@ -665,6 +665,26 @@ class TestMirror:
         assert warm.canonical(u, budget) == (Word.parse("S1.A").letters, True)
         assert list(warm._components) == [key]
         assert key[0] == inverse_encoded(encode_letters(u))
+
+    @pytest.mark.parametrize("which", ["k3-m1", "k5-m2"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_served_answers_run_no_closure(self, mirror_systems, which, data):
+        # a memo hit on u and a mirror hit on u^-1 are read from u's entry
+        system = mirror_systems[which]
+        u = data.draw(reduced_words_of(system))
+        warm = RankOracle(system)
+        assume(warm.canonical(u)[1])
+
+        def no_closure(*args, **kwargs):
+            raise AssertionError("a served query ran _closure")
+
+        warm._closure = no_closure
+        for w in (u, inverse_letters(u)):
+            cold = RankOracle(system).canonical(w)
+            assert warm.canonical(w) == cold
+            code = encode_letters(w)
+            assert warm.canonical_encoded(code) == (encode_letters(cold[0]), cold[1])
 
 
 class TestReachabilityWithinACap:

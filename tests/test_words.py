@@ -268,6 +268,12 @@ class TestAlphabet:
         with pytest.raises(InputError):
             Alphabet(-1)
 
+    @pytest.mark.parametrize("m", [True, False])
+    def test_bool_m_refused(self, m):
+        with pytest.raises(InputError) as refusal:
+            Alphabet(m)
+        assert str(refusal.value) == "m must be a nonnegative integer, got %r" % m
+
 
 class TestEnumeration:
     def test_ball_counts_match_closed_form(self):
