@@ -12,17 +12,31 @@ queried.  Samples are tallied by word and the distinct words grouped by
 cyclic core: w = 1 exactly when its core is 1, so each core is queried once,
 in first-seen order, its verdict weighted by its group's count.  A core that
 comes back unknown falls back to one query per raw word of its group.
+
+Random walks (`random_walk_sample`, walk-mode `law_probability` and
+`quotient_return_probability`) come from one generator, `_walks`, which
+draws a chunk of walks with a handful of C-level calls: one key per step,
+the walks' keys joined by a separator, translated to the steps' encoded
+words, freely reduced (`str.replace` of the cancelling pairs, or, past
+`_MAX_REPLACE_PAIRS` pairs, one regex scan for runs of one generator) and
+split again.  A `random.Random` whose class keeps the stdlib's `random` and
+`getrandbits` gives a chunk's uniforms as one `getrandbits` call, read as
+the 32-bit outputs each `random()` call would consume; any other generator
+is asked for one `random()` per step.  Either way the words and the
+generator's final state are those of one `random()` per step, with the step
+taken by `bisect_right` on the running float sums.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate, product
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate, islice, product, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cayley import FLAG_EXACT, enumerate_ball
 from .errors import InputError, StateError
@@ -32,6 +46,8 @@ from .words import (
     Word,
     cyclic_rep,
     cyclic_split_reduced,
+    decode_letters,
+    encode_letters,
     inverse_letters,
     power_letters,
     reduce_letters,
@@ -45,6 +61,43 @@ MAX_LAW_LETTERS = 10_000
 # ... and nests at most this many parentheses or brackets deep: the parser
 # recurses once per level
 MAX_LAW_NESTING = 100
+
+# `_walks` draws and reduces about this many steps at a time: a chunk holds
+# max(1, _CHUNK_STEPS // steps) walks, so a walk longer than a chunk is one
+_CHUNK_STEPS = 1 << 14
+# the generators `_walks` reads a chunk's bits from in one call: the class
+# keeps the stdlib's methods, so random() is two 32-bit outputs a, b giving
+# ((a >> 5) * 2^26 + (b >> 6)) * 2^-53
+_BULK_METHODS = (random.Random.random, random.Random.getrandbits)
+_TWO_POW_MINUS_53 = 2.0 ** -53
+# a step in a cut bucket costs a Python-level resolution, about 40 times a
+# key read: past this many cut byte buckets, steps are keyed by two bytes
+_MAX_CUT_BYTES = 8
+# past this many cancelling pairs, `StepDistribution._reduce` goes by runs
+_MAX_REPLACE_PAIRS = 32
+_RUN = re.compile(r"(.)\1+", re.DOTALL)
+
+
+def _bucket_codes(thresholds: Sequence[float], codes: list[str],
+                  size: int) -> list[Optional[str]]:
+    """The step code of every uniform in each of `size` equal buckets of
+    [0, 1), or None for a cut bucket.  The draw index can change only at a
+    bucket holding a threshold or starting at one, so the buckets between
+    are filled as runs."""
+    edges = {0, size}
+    for x in thresholds:
+        v = math.floor(x * size)
+        edges.update((min(size, v), min(size, v + 1)))
+    edges = sorted(edges)
+    table: list[Optional[str]] = []
+    for lo, hi in zip(edges, edges[1:]):
+        i = bisect_right(thresholds, lo / size)
+        if i == bisect_left(thresholds, hi / size):
+            table += [codes[i]] * (hi - lo)
+        else:
+            # a threshold lies strictly inside [lo, hi), so hi == lo + 1
+            table.append(None)
+    return table
 
 
 class GroupLaw(Record, uncompared=("text",)):
@@ -201,6 +254,15 @@ class StepDistribution(Record):
     exceeds one `rng.random()`, else the last word: rounding can leave the
     sum below 1.  Distributions compare by `support`, which construction
     sorts in shortlex order of the words.
+
+    For `_walks` a step is a one-character key.  [0, 1) is split into
+    `_buckets` equal buckets, 256 or, when more than `_MAX_CUT_BYTES` byte
+    buckets hold a threshold strictly inside (are cut), 65536; the top byte
+    or two bytes v of a step's first 32-bit output name the bucket its
+    uniform lies in.  The key is v when bucket v is not cut, and else
+    `_buckets` + the draw's index.  `_table` translates keys to encoded
+    step words and the key `_sep_key` to `_sep`, a code point no support
+    letter or its inverse uses, whose generator no letter shares.
     """
 
     support: tuple[tuple[Word, Fraction], ...]
@@ -220,19 +282,95 @@ class StepDistribution(Record):
             seen.add(w.letters)
             pairs.append((w, p))
             total += p
-        if total != 1:
-            raise InputError("step probabilities sum to %s, need 1" % total)
         if not pairs:
             raise InputError("empty support")
+        if total != 1:
+            raise InputError("step probabilities sum to %s, need 1" % total)
         pairs.sort(key=lambda wp: (len(wp[0].letters), wp[0].letters))
         d = self.__dict__
         d["support"] = tuple(pairs)
         d["thresholds"] = tuple(accumulate(float(p) for _, p in pairs))
         # indexed by bisect_right(thresholds, u): the repeated last word is
         # the fall-back for u at or above the float sum
-        d["_draws"] = tuple(w for w, _ in pairs) + (pairs[-1][0],)
+        d["_draws"] = draws = tuple(w for w, _ in pairs) + (pairs[-1][0],)
+        self._walk_tables(d, [encode_letters(w.letters) for w in draws])
         d["probe_depth"] = depth = 2 * max(len(w.letters) for w, _ in pairs) or 1
         d["maybe_degenerate"] = not self._probe(depth)
+
+    def _walk_tables(self, d: dict, codes: list[str]) -> None:
+        table = _bucket_codes(self.thresholds, codes, 256)
+        if table.count(None) > _MAX_CUT_BYTES:
+            table = _bucket_codes(self.thresholds, codes, 1 << 16)
+        d["_buckets"] = n = len(table)
+        used = {ord(c) for code in codes for c in code}
+        d["_sep"] = sep = chr((max(used, default=0) | 1) + 1)
+        d["_table"] = tuple(table + codes + [sep])
+        d["_resolved"] = tuple(map(chr, range(n, n + len(codes))))
+        d["_sep_key"] = chr(n + len(codes))
+        cut = [chr(v) for v, code in enumerate(table) if code is None]
+        d["_cut"] = re.compile("[%s]" % "".join(map(re.escape, cut))) if cut else None
+        d["_pairs"] = pairs = tuple(chr(c) + chr(c ^ 1) for c in sorted(used) if c ^ 1 in used)
+        # code -> its generator's character, for `_reduce` by runs
+        d["_generators"] = (tuple(chr(c >> 1) for c in range(ord(sep) + 1))
+                            if len(pairs) > _MAX_REPLACE_PAIRS else None)
+
+    def _keys_from_bits(self, data: bytes) -> str:
+        """The keys of the steps whose uniforms `data` holds: 8 bytes a
+        step, the two 32-bit outputs of one `random()` call, little-endian.
+        A step in a cut bucket is resolved exactly, by `bisect_right` on its
+        uniform."""
+        if self._buckets == 256:
+            keys = data[3::8].decode("latin-1")
+        else:
+            wide = bytearray(len(data) // 2)
+            wide[0::4], wide[1::4] = data[2::8], data[3::8]
+            keys = wide.decode("utf-32-le", "surrogatepass")
+        if self._cut is None:
+            return keys
+        t, resolved = self.thresholds, self._resolved
+        parts, last = [], 0
+        for m in self._cut.finditer(keys):
+            i = m.start()
+            x = int.from_bytes(data[8 * i:8 * i + 8], "little")
+            u = (((x & 0xFFFFFFFF) >> 5 << 26) + (x >> 38)) * _TWO_POW_MINUS_53
+            parts += keys[last:i], resolved[bisect_right(t, u)]
+            last = i + 1
+        parts.append(keys[last:])
+        return "".join(parts)
+
+    def _keys_from_uniforms(self, uniforms: Iterable[float]) -> str:
+        """The keys of the steps drawn by the given `random()` values."""
+        return "".join(map(self._resolved.__getitem__,
+                           map(bisect_right, repeat(self.thresholds), uniforms)))
+
+    def _reduce(self, s: str) -> str:
+        """`s`, a string of encoded step words and separators, freely
+        reduced.  Reduction is confluent, so any order of deleting
+        cancelling pairs ends in the word the one-letter-at-a-time stack
+        gives.  Up to `_MAX_REPLACE_PAIRS` pairs, each is deleted by
+        `str.replace` until the length stops changing; past that, a pass
+        costing one scan per pair costs more than one scan for maximal runs
+        of letters of one generator, each of which reduces to x^(#x - #X)."""
+        if self._generators is None:
+            size = None
+            while size != len(s):
+                size = len(s)
+                for pair in self._pairs:
+                    s = s.replace(pair, "")
+            return s
+        while True:
+            parts, last = [], 0
+            for m in _RUN.finditer(s.translate(self._generators)):
+                i, j = m.span()
+                x = chr(ord(s[i]) & ~1)
+                k = s.count(x, i, j) * 2 - (j - i)
+                if abs(k) != j - i:
+                    parts += s[last:i], x * k if k > 0 else chr(ord(x) + 1) * -k
+                    last = j
+            if not last:
+                return s
+            parts.append(s[last:])
+            s = "".join(parts)
 
     def _probe(self, depth: int) -> bool:
         need = set()
@@ -309,7 +447,8 @@ def _estimate(law_text, mode, n, holds, fails, unknown, exact=False) -> LawEstim
 
 def _tally(oracle: RankOracle, words: Iterable[Word],
            budget: Optional[OracleBudget]) -> tuple[int, int, int]:
-    """(holds, fails, unknown) of `w = 1` over `words`, repeats counted.
+    """(holds, fails, unknown) of `w = 1` over `words`, repeats counted;
+    `words` may also map each distinct word to its count.
 
     w = 1 exactly when its cyclic core is 1 (x^k = u c^k u^-1 is a free
     conjugate of c^k), so the distinct words are grouped by `cyclic_rep`
@@ -354,20 +493,36 @@ def sample_uniform_ball(presentation, rank: int, n: int, rng: random.Random,
     return Word._raw(elements[rng.randrange(len(elements))])
 
 
-def random_walk_sample(nu: StepDistribution, steps: int, rng: random.Random) -> Word:
-    """Product of `steps` independent nu-draws, freely reduced."""
+def _walks(nu: StepDistribution, steps: int, count: int,
+           rng: random.Random) -> Iterator[str]:
+    """The encoded reduced words of `count` independent `steps`-step
+    nu-walks, in draw order, drawn and reduced a chunk of walks at a time:
+    one key per step, each walk's keys joined to the next by `_sep_key`,
+    translated to encoded step words, reduced and split at `_sep`."""
     if steps < 0:
         raise InputError("steps must be >= 0")
-    # StepDistribution.draw inlined: one rng.random() per step, as there
-    thresholds, draws, rand = nu.thresholds, nu._draws, rng.random
-    out: list[int] = []
-    for _ in range(steps):
-        for x in draws[bisect_right(thresholds, rand())].letters:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return Word._raw(tuple(out))
+    if steps == 0:
+        yield from repeat("", count)
+        return
+    bulk = (type(rng).random, type(rng).getrandbits) == _BULK_METHODS
+    per = max(1, _CHUNK_STEPS // steps)
+    for start in range(0, count, per):
+        n = min(per, count - start) * steps
+        keys = (nu._keys_from_bits(rng.getrandbits(64 * n).to_bytes(8 * n, "little"))
+                if bulk else nu._keys_from_uniforms(islice(iter(rng.random, None), n)))
+        s = nu._sep_key.join(map(keys.__getitem__, map(
+            slice, range(0, n, steps), range(steps, n + steps, steps)))).translate(nu._table)
+        yield from nu._reduce(s).split(nu._sep)
+
+
+def random_walk_sample(nu: StepDistribution, steps: int, rng: random.Random) -> Word:
+    """Product of `steps` independent nu-draws, freely reduced: `_walks`
+    with one walk.  A `random.Random` whose class keeps the stdlib's
+    `random` and `getrandbits` gives the walk's uniforms in one
+    `getrandbits(64 * steps)` call, any other generator one `random()` per
+    step; either way the walk and the generator's final state are those of
+    `steps` draws of `StepDistribution.draw`."""
+    return Word._raw(decode_letters(next(_walks(nu, steps, 1, rng))))
 
 
 def law_probability(presentation, law: GroupLaw, rank: int, mode: str, n: int,
@@ -403,15 +558,16 @@ def law_probability(presentation, law: GroupLaw, rank: int, mode: str, n: int,
         raise InputError("walk mode needs a step distribution")
 
     rng = random.Random(seed)
-    cache: dict = {}
-
-    def draw():
-        if mode == "ball":
-            return sample_uniform_ball(presentation, rank, n, rng, budget,
-                                       _cache=cache)
-        return random_walk_sample(nu, n, rng)
-
-    words = (law.evaluate([draw() for _ in range(arity)]) for _ in range(trials))
+    if mode == "walk":
+        # trial by trial, x1's walk then x2's
+        walks = map(Word._raw, map(decode_letters, _walks(nu, n, arity * trials, rng)))
+        words = map(law.evaluate, zip(*[walks] * arity))
+    else:
+        cache: dict = {}
+        words = (law.evaluate([sample_uniform_ball(presentation, rank, n, rng, budget,
+                                                   _cache=cache)
+                               for _ in range(arity)])
+                 for _ in range(trials))
     return _estimate(law.text, mode, n, *_tally(oracle, words, budget))
 
 
@@ -510,7 +666,7 @@ def quotient_return_probability(presentation, rank: int, steps: int,
     oracle = RankOracle(quotient_system(presentation, rank))
     if nu is None:
         nu = StepDistribution.lazy_uniform([Word((3,)), Word((-3,))])
-    rng = random.Random(seed)
-    words = (random_walk_sample(nu, steps, rng) for _ in range(trials))
+    counts = Counter(_walks(nu, steps, trials, random.Random(seed)))
+    words = {Word._raw(decode_letters(code)): c for code, c in counts.items()}
     return _estimate("x = 1 (quotient walk)", "walk", steps,
                      *_tally(oracle, words, budget))

@@ -2,10 +2,13 @@
 law-probability estimates, torsion classification, and the quotient walk."""
 
 import copy
+import math
 import pickle
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,12 +24,15 @@ from burnlab.oracle import (
     verify_equality_witness,
     verify_into_ab_witness,
 )
+from burnlab import probability
 from burnlab.probability import (
     MAX_LAW_NESTING,
+    _CHUNK_STEPS,
     GroupLaw,
     StepDistribution,
     _estimate,
     _tally,
+    _walks,
     law_probability,
     law_probability_sweep,
     quotient_return_probability,
@@ -38,6 +44,8 @@ from burnlab.probability import (
 from burnlab.words import (
     Alphabet,
     Word,
+    decode_letters,
+    encode_letters,
     inverse_letters,
     power_letters,
     reduced_words_up_to,
@@ -152,6 +160,7 @@ def step_distributions(draw):
 
 SEVENTHS = StepDistribution([(Word._raw(w), Fraction(1, 7))
                              for w in STEP_WORDS[:7]])
+LAZY_S1 = StepDistribution.lazy_uniform([Word((3,)), Word((-3,))])
 
 
 class TestGroupLaw:
@@ -269,7 +278,7 @@ class TestStepDistribution:
             StepDistribution([(a, Fraction(1, 2)), (a, Fraction(1, 2))])
         with pytest.raises(InputError, match="> 0"):
             StepDistribution([(a, Fraction(0)), (b, Fraction(1))])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^empty support$"):
             StepDistribution([])
 
     def test_lazy_uniform_includes_identity(self):
@@ -355,6 +364,113 @@ class TestSampling:
     def test_inexact_ball_refused(self, p_k3_m1_r2):
         with pytest.raises(StateError, match="upper-bound"):
             sample_uniform_ball(p_k3_m1_r2, 2, 4, random.Random(1), TINY)
+
+
+def chunked_walks(nu, steps, count, rng):
+    return [Word._raw(decode_letters(code)) for code in _walks(nu, steps, count, rng)]
+
+
+def uniform_bytes(n, dropped):
+    """The two 32-bit outputs, little-endian, from which random() returns
+    n * 2^-53; `dropped` fills the low bits that random() discards."""
+    a = (n >> 26) << 5 | dropped & 31
+    b = (n & (2 ** 26 - 1)) << 6 | dropped & 63
+    return a.to_bytes(4, "little") + b.to_bytes(4, "little")
+
+
+def assert_classifier_exact(nu):
+    """Steps classified from raw bytes, with no generator, at both sides of
+    every threshold and at 0 and the largest random(), equal the steps
+    bisect_right takes on the same uniforms."""
+    top = 2 ** 53
+    ns = {0, top - 1}
+    for t in nu.thresholds:
+        n = math.ceil(t * top)
+        ns.update(x for x in (n - 1, n) if 0 <= x < top)
+    ns = sorted(ns)
+    expected = [encode_letters(nu._draws[bisect_right(nu.thresholds, n / top)].letters)
+                for n in ns]
+    for dropped in (0, -1):
+        data = [uniform_bytes(n, dropped) for n in ns]
+        assert [nu._keys_from_bits(d).translate(nu._table) for d in data] == expected
+        keys = nu._keys_from_bits(b"".join(data))
+        assert len(keys) == len(ns) and keys.translate(nu._table) == "".join(expected)
+
+
+def stack_reduce(codes, sep):
+    """Each separated segment of an encoded string reduced one letter at a
+    time."""
+    out = []
+    for c in codes:
+        if out and c != sep and ord(out[-1]) ^ 1 == ord(c):
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+@pytest.fixture(scope="module")
+def large_alphabet():
+    """The lazy uniform step on every letter at m = 200: 405 words, letter
+    codes up to 403, every byte bucket cut and 404 cancelling pairs."""
+    return StepDistribution.lazy_uniform([Word((l,)) for l in Alphabet(200).letters()])
+
+
+class TestChunkedWalks:
+    """`_walks` against `reference_walk`: the same words in the same order
+    and the same generator state after, from either source of uniforms."""
+
+    @given(nu=step_distributions(), seed=st.integers(0, 2 ** 32),
+           steps=st.integers(0, 40), count=st.integers(1, 40),
+           chunk=st.sampled_from([1, 7, 64, _CHUNK_STEPS]))
+    @example(nu=LAZY_S1, seed=7, steps=30, count=_CHUNK_STEPS // 30 + 2,
+             chunk=_CHUNK_STEPS)
+    @example(nu=SEVENTHS, seed=1, steps=_CHUNK_STEPS + 3, count=2,
+             chunk=_CHUNK_STEPS)
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_source_matches_reference(self, nu, seed, steps, count, chunk):
+        ours, ref = random.Random(seed), random.Random(seed)
+        with mock.patch.object(probability, "_CHUNK_STEPS", chunk):
+            walks = chunked_walks(nu, steps, count, ours)
+        assert walks == [reference_walk(nu, steps, ref) for _ in range(count)]
+        assert ours.getstate() == ref.getstate()
+        assert random_walk_sample(nu, steps, ours) == reference_walk(nu, steps, ref)
+        assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("nu", [SEVENTHS, LAZY_S1, ALL_STEPS],
+                             ids=["sevenths", "lazy-s1", "all-steps"])
+    def test_classifier_exact_at_thresholds(self, nu):
+        assert_classifier_exact(nu)
+
+    def test_float_sum_below_one_classifies_to_last_word(self):
+        assert SEVENTHS.thresholds[-1] < 1
+        keys = SEVENTHS._keys_from_bits(uniform_bytes(2 ** 53 - 1, 0))
+        assert keys.translate(SEVENTHS._table) == encode_letters(SEVENTHS.support[-1][0].letters)
+
+    def test_large_alphabet_classifier_exact(self, large_alphabet):
+        assert large_alphabet._buckets == 2 ** 16
+        assert_classifier_exact(large_alphabet)
+
+    @pytest.mark.parametrize("source", ["Random", "EdgeRandom"])
+    def test_large_alphabet_walks_match_reference(self, large_alphabet, source):
+        nu = large_alphabet
+        assert len(nu.support) == 405 and max(map(ord, nu._table[-1])) > 255
+        if source == "Random":
+            ours, ref = random.Random(11), random.Random(11)
+        else:
+            edges = list(nu.thresholds) + [0.0, TOP]
+            ours, ref = EdgeRandom(11, edges), EdgeRandom(11, edges)
+        assert chunked_walks(nu, 25, 300, ours) == \
+            [reference_walk(nu, 25, ref) for _ in range(300)]
+        assert ours.getstate() == ref.getstate()
+
+    @given(codes=st.lists(st.sampled_from([0, 1, 4, 5, 402, 403, None]), max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_by_runs_matches_stack(self, large_alphabet, codes):
+        nu = large_alphabet
+        assert nu._generators is not None
+        s = "".join(nu._sep if c is None else chr(c) for c in codes)
+        assert nu._reduce(s) == stack_reduce(s, nu._sep)
 
 
 class TestLawProbability:
