@@ -43,12 +43,13 @@ FLAG_EXACT = "exact"
 FLAG_UPPER = "upper-bound"
 
 
-class BallResult(Record):
+class BallResult(Record, uncompared=("balls",)):
     rank: int
     radius: int
     elements: tuple[tuple[int, ...], ...]  # canonical, shortlex sorted
     sphere_counts: tuple[int, ...]  # index = radius
     flag: str
+    balls: tuple = ()  # the search's balls of radius 0..radius-1
 
     @property
     def count(self) -> int:
@@ -57,11 +58,20 @@ class BallResult(Record):
     def ball_count(self, r: int) -> int:
         return sum(self.sphere_counts[: r + 1])
 
+    def within(self, r: int) -> "BallResult":
+        """The radius-r ball the search passed through: what a radius-r
+        search returns.  On an inexact ball that is no slice of `elements`,
+        which a shorter canonical form found at a later level sorts into."""
+        if not 0 <= r <= self.radius:
+            raise InputError("radius %d outside 0..%d" % (r, self.radius))
+        return self if r == self.radius else self.balls[r]
+
 
 def enumerate_ball(presentation, rank: int, radius: int,
                    budget: Optional[OracleBudget] = None,
                    letters: Optional[Sequence[int]] = None) -> BallResult:
-    """Breadth-first ball enumeration with certified merging.
+    """Breadth-first ball enumeration with certified merging, level by
+    level: `BallResult.within` gives the ball of every smaller radius.
 
     Elements are canonical words (shortlex-least certified-equal form).  A
     canonicalization that fails to exhaust its rewriting component downgrades
@@ -71,8 +81,8 @@ def enumerate_ball(presentation, rank: int, radius: int,
     The search runs on `words.encode_letters` strings through
     `RankOracle.canonical_encoded`: a step from w by the letter code c is
     w[:-1] when c inverts w's last letter, else w + c, and an encoded list
-    sorts by shortlex as a stable sort by length after a plain sort.  Only
-    the elements are decoded, at the end.
+    sorts by shortlex as a stable sort by length after a plain sort.  Each
+    element is decoded once, when found.
     """
     if radius < 0:
         raise InputError("radius must be >= 0")
@@ -80,10 +90,19 @@ def enumerate_ball(presentation, rank: int, radius: int,
     gens = sorted(encode_letters(
         letters if letters is not None else presentation.alphabet.letters()))
     flag = FLAG_EXACT
-    known: set[str] = {""}
+    known: dict[str, tuple[int, ...]] = {"": ()}  # encoded -> decoded
     spheres: list[int] = [1]
     frontier: list[str] = [""]
+
+    def ball(r: int, smaller: tuple = ()) -> BallResult:
+        elements = sorted(known)
+        elements.sort(key=len)
+        return BallResult(rank, r, tuple(map(known.__getitem__, elements)),
+                          tuple(spheres), flag, smaller)
+
+    balls = []
     for d in range(1, radius + 1):
+        balls.append(ball(d - 1))
         new: list[str] = []
         for w in frontier:
             last = ord(w[-1]) ^ 1 if w else -1
@@ -97,16 +116,13 @@ def enumerate_ball(presentation, rank: int, radius: int,
                     # a shorter canonical form surfacing late means some merge
                     # was missed at an earlier level; keep counting, flag it
                     flag = FLAG_UPPER
-                known.add(canon)
+                known[canon] = decode_letters(canon)
                 new.append(canon)
         new.sort()
         new.sort(key=len)
         spheres.append(len(new))
         frontier = new
-    elements = sorted(known)
-    elements.sort(key=len)
-    return BallResult(rank, radius, tuple(map(decode_letters, elements)),
-                      tuple(spheres), flag)
+    return ball(radius, tuple(balls))
 
 
 class GrowthTable(Record):
@@ -132,16 +148,16 @@ class GrowthTable(Record):
 def growth(presentation, rank: int, n_max: int,
            budget: Optional[OracleBudget] = None,
            subgroup: str = "G") -> GrowthTable:
+    """Ball counts for r = 0..n_max from one search, each flagged as its own
+    ball is; every gamma_H row is upper-bound at a nonpositive ab-margin."""
     if subgroup not in ("G", "H"):
         raise InputError("subgroup must be 'G' or 'H'")
     letters = None if subgroup == "G" else AB_LETTERS
     ball = enumerate_ball(presentation, rank, n_max, budget, letters=letters)
-    flag = ball.flag
-    if subgroup == "H" and rank >= 1:
-        margin = presentation.relator_system(rank).ab_margin
-        if margin is None or margin <= 0:
-            flag = FLAG_UPPER
-    rows = tuple((r, ball.ball_count(r), flag) for r in range(n_max + 1))
+    margin = presentation.relator_system(rank).ab_margin if subgroup == "H" and rank else 1
+    upper = margin is None or margin <= 0
+    rows = tuple((b.radius, b.count, FLAG_UPPER if upper else b.flag)
+                 for b in map(ball.within, range(n_max + 1)))
     return GrowthTable(series="gamma_%s" % subgroup, rank=rank, rows=rows)
 
 
@@ -176,27 +192,27 @@ def rank0_hg_elements(alphabet: Alphabet, n: int) -> set[tuple[int, ...]]:
     return out
 
 
-def hg_union_elements(presentation, rank: int, n: int,
+def hg_union_elements(presentation, ball: BallResult, n: int,
                       budget: Optional[OracleBudget] = None
                       ) -> tuple[set[tuple[int, ...]], str]:
-    """Union-of-conjugates enumeration: canonical forms of V K V^-1 over
-    K in B_H(n) (as written words) and V in B_G(floor((n-|K|)/2))."""
-    oracle = presentation.oracle(rank)
-    ball = enumerate_ball(presentation, rank, n // 2, budget)
-    flag = ball.flag
-    by_norm: dict[int, list[tuple[int, ...]]] = {}
-    for el in ball.elements:
-        by_norm.setdefault(len(el), []).append(el)
+    """Union-of-conjugates enumeration at the ball's rank: canonical forms of
+    V K V^-1 over K in B_H(n) (as written words) and V of length at most
+    floor((n-|K|)/2) in `ball.within(n // 2)`, whose flag the result's starts
+    from."""
+    oracle = presentation.oracle(ball.rank)
+    v_ball = ball.within(n // 2)
+    flag = v_ball.flag
     out: set[tuple[int, ...]] = set()
     for k_word in reduced_words_up_to(presentation.alphabet, n, letters=AB_LETTERS):
         vmax = (n - len(k_word)) // 2
-        for v_len in range(vmax + 1):
-            for v in by_norm.get(v_len, ()):
-                w = splice_reduce(v, k_word, tuple(-x for x in reversed(v)))
-                canon, complete = oracle.canonical(w, budget)
-                if not complete:
-                    flag = FLAG_UPPER
-                out.add(canon)
+        for v in v_ball.elements:  # shortlex, so by length
+            if len(v) > vmax:
+                break
+            w = splice_reduce(v, k_word, tuple(-x for x in reversed(v)))
+            canon, complete = oracle.canonical(w, budget)
+            if not complete:
+                flag = FLAG_UPPER
+            out.add(canon)
     return out, flag
 
 
@@ -221,45 +237,50 @@ def sigma_bound(alphabet: Alphabet, n: int, gamma_g=None) -> int:
     return sum(free_ball_size(2, j) * gamma_g((n - j) // 2) for j in range(n + 1))
 
 
-def density_HG(presentation, rank: int, n: int,
-               budget: Optional[OracleBudget] = None,
-               method: str = "auto") -> DensityRow:
-    """One density report row: ball size, H^G count, ratio interval, bound.
-
-    method: "formula" (rank 0 only, exact closed computation), "union"
-    (pair enumeration via the oracle, any rank), or "auto".
-    """
+def density_rows(presentation, rank: int, n_values: Sequence[int],
+                 budget: Optional[OracleBudget] = None,
+                 method: str = "auto") -> list[DensityRow]:
+    """Density report rows, one per n: ball size, H^G count, ratio interval,
+    bound.  method: "formula" (rank 0 only, exact closed computation),
+    "union" (pair enumeration via the oracle at any rank, every row reading
+    one ball, of radius max(n_values)), or "auto".  On an upper-bound ball,
+    ratio_hi divides by a certified lower bound on its size, the number of
+    distinct lattice residues among its elements, clipped at 1."""
     alphabet = presentation.alphabet
     if method not in ("auto", "formula", "union"):
         raise InputError("method must be auto, formula, or union")
     if method == "formula" and rank != 0:
         raise InputError("formula path is exact only at rank 0")
-    use_formula = method == "formula" or (method == "auto" and rank == 0)
+    if method == "formula" or (method == "auto" and rank == 0):
+        closed = [(n, free_ball_size(alphabet.size, n), rank0_hg_count(alphabet, n))
+                  for n in n_values]
+        return [DensityRow(n, b, FLAG_EXACT, hg, hg, FLAG_EXACT, Fraction(hg, b),
+                           Fraction(hg, b), sigma_bound(alphabet, n)) for n, b, hg in closed]
 
-    if use_formula:
-        ball = free_ball_size(alphabet.size, n)
-        hg = rank0_hg_count(alphabet, n)
-        bound = sigma_bound(alphabet, n)
-        return DensityRow(n, ball, FLAG_EXACT, hg, hg, FLAG_EXACT,
-                          Fraction(hg, ball), Fraction(hg, ball), bound)
+    system = presentation.relator_system(rank)
+    residues = lambda words: len({system.lattice.reduce(system.expvec(t)) for t in words})
+    top = enumerate_ball(presentation, rank, max(n_values, default=0), budget)
+    rows = []
+    for n in n_values:
+        ball = top.within(n)
+        elements, flag = hg_union_elements(presentation, top, n, budget)
+        hg_hi = len(elements)
+        hg_lo = hg_hi if flag == FLAG_EXACT else residues(elements)
+        ratio_hi = Fraction(hg_hi, ball.count) if ball.flag == FLAG_EXACT \
+            else min(Fraction(1), Fraction(hg_hi, residues(ball.elements)))
+        rows.append(DensityRow(
+            n=n, ball=ball.count, ball_flag=ball.flag,
+            hg_lo=hg_lo, hg_hi=hg_hi, hg_flag=flag,
+            ratio_lo=Fraction(hg_lo, ball.count), ratio_hi=ratio_hi,
+            sigma_bound=sigma_bound(alphabet, n, gamma_g=ball.ball_count)))
+    return rows
 
-    ball = enumerate_ball(presentation, rank, n, budget)
-    elements, flag = hg_union_elements(presentation, rank, n, budget)
-    hg_hi = len(elements)
-    if flag == FLAG_EXACT:
-        hg_lo = hg_hi
-    else:
-        system = presentation.relator_system(rank)
-        residues = {system.lattice.reduce(system.expvec(t)) for t in elements}
-        hg_lo = len(residues)
-    bound = sigma_bound(alphabet, n, gamma_g=ball.ball_count)
-    return DensityRow(
-        n=n, ball=ball.count, ball_flag=ball.flag,
-        hg_lo=hg_lo, hg_hi=hg_hi, hg_flag=flag,
-        ratio_lo=Fraction(hg_lo, ball.count),
-        ratio_hi=Fraction(hg_hi, ball.count),
-        sigma_bound=bound,
-    )
+
+def density_HG(presentation, rank: int, n: int,
+               budget: Optional[OracleBudget] = None,
+               method: str = "auto") -> DensityRow:
+    """One density report row: `density_rows` at the one radius n."""
+    return density_rows(presentation, rank, [n], budget, method)[0]
 
 
 def density_rows_to_csv(rows: Sequence[DensityRow]) -> str:

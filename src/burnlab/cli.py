@@ -28,7 +28,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cayley import density_HG, density_rows_to_csv, density_rows_to_json, growth
+from .cayley import density_rows, density_rows_to_csv, density_rows_to_json, growth
 from .errors import InputError, InvariantViolation, StateError
 from .oracle import OracleBudget
 from .presentation import GradedPresentation, SmallCancellationParams, read_field
@@ -202,8 +202,8 @@ def cmd_density(cfg: SessionConfig, args: argparse.Namespace) -> int:
     pres = _load_presentation(cfg, args)
     if args.n_min < 0 or args.n_max < args.n_min:
         raise InputError("need 0 <= --n-min <= --n-max")
-    rows = [density_HG(pres, args.rank, n, cfg.budget, method=args.method)
-            for n in range(args.n_min, args.n_max + 1)]
+    rows = density_rows(pres, args.rank, range(args.n_min, args.n_max + 1),
+                        cfg.budget, method=args.method)
     for r in rows:
         print("n=%d: ball %d, H^G in [%d, %d], ratio [%s, %s], bound %d"
               % (r.n, r.ball, r.hg_lo, r.hg_hi, r.ratio_lo, r.ratio_hi,

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import accumulate, islice, product, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .cayley import FLAG_EXACT, enumerate_ball
+from .cayley import FLAG_EXACT, BallResult, enumerate_ball
 from .errors import InputError, StateError
 from .oracle import OracleBudget, RankOracle, Relator, RelatorSystem, Verdict
 from .records import Record
@@ -472,24 +472,19 @@ def _tally(oracle: RankOracle, words: Iterable[Word],
     return tally[0], tally[1], tally[2]
 
 
-def sample_uniform_ball(presentation, rank: int, n: int, rng: random.Random,
-                        budget: Optional[OracleBudget] = None,
-                        _cache: Optional[dict] = None) -> Word:
-    """One uniform draw from the radius-n ball at the given rank.
+def _exact_elements(ball: BallResult) -> tuple[tuple[int, ...], ...]:
+    """The elements of an exact ball.  Uniformity is over certified-distinct
+    elements, which an inexact ball would silently bias: it is refused."""
+    if ball.flag != FLAG_EXACT:
+        raise StateError("ball(%d) at rank %d is %s, not an exact ball"
+                         % (ball.radius, ball.rank, ball.flag))
+    return ball.elements
 
-    Uniformity is over certified-distinct elements, so an inexact ball would
-    silently bias the measure; that is refused."""
-    key = (rank, n)
-    if _cache is not None and key in _cache:
-        elements = _cache[key]
-    else:
-        ball = enumerate_ball(presentation, rank, n, budget)
-        if ball.flag != FLAG_EXACT:
-            raise StateError("ball(%d) at rank %d is %s, not exact"
-                             % (n, rank, ball.flag))
-        elements = ball.elements
-        if _cache is not None:
-            _cache[key] = elements
+
+def sample_uniform_ball(presentation, rank: int, n: int, rng: random.Random,
+                        budget: Optional[OracleBudget] = None) -> Word:
+    """One uniform draw from the exact radius-n ball at the given rank."""
+    elements = _exact_elements(enumerate_ball(presentation, rank, n, budget))
     return Word._raw(elements[rng.randrange(len(elements))])
 
 
@@ -529,46 +524,10 @@ def law_probability(presentation, law: GroupLaw, rank: int, mode: str, n: int,
                     trials: int = 0, seed: Optional[int] = None,
                     budget: Optional[OracleBudget] = None,
                     nu: Optional[StepDistribution] = None) -> LawEstimate:
-    """Estimate P(law holds) at the given rank.
-
-    mode "ball": variables drawn uniformly from the exact radius-n ball.
-    mode "walk": variables are independent n-step nu-walks.
-    mode "exhaustive": every assignment from ball(n)^arity, exact count.
-    Sampled modes need trials >= 1 and a seed.
-    """
-    oracle = presentation.oracle(rank)
-    arity = law.arity
-
-    if mode == "exhaustive":
-        ball = enumerate_ball(presentation, rank, n, budget)
-        if ball.flag != FLAG_EXACT:
-            raise StateError("exhaustive mode needs an exact ball, got %s" % ball.flag)
-        words = (law.evaluate([Word._raw(t) for t in combo])
-                 for combo in product(ball.elements, repeat=arity))
-        return _estimate(law.text, mode, n, *_tally(oracle, words, budget),
-                         exact=True)
-
-    if mode not in ("ball", "walk"):
-        raise InputError("mode must be ball, walk, or exhaustive")
-    if trials < 1:
-        raise InputError("sampled modes need trials >= 1")
-    if seed is None:
-        raise InputError("sampled modes need a seed")
-    if mode == "walk" and nu is None:
-        raise InputError("walk mode needs a step distribution")
-
-    rng = random.Random(seed)
-    if mode == "walk":
-        # trial by trial, x1's walk then x2's
-        walks = map(Word._raw, map(decode_letters, _walks(nu, n, arity * trials, rng)))
-        words = map(law.evaluate, zip(*[walks] * arity))
-    else:
-        cache: dict = {}
-        words = (law.evaluate([sample_uniform_ball(presentation, rank, n, rng, budget,
-                                                   _cache=cache)
-                               for _ in range(arity)])
-                 for _ in range(trials))
-    return _estimate(law.text, mode, n, *_tally(oracle, words, budget))
+    """Estimate P(law holds) at the given rank: `law_probability_sweep` at
+    the one radius n."""
+    return law_probability_sweep(presentation, law, rank, mode, [n], trials,
+                                 seed, budget, nu)[0][0]
 
 
 def law_probability_sweep(presentation, law: GroupLaw, rank: int, mode: str,
@@ -577,28 +536,47 @@ def law_probability_sweep(presentation, law: GroupLaw, rank: int, mode: str,
                           budget: Optional[OracleBudget] = None,
                           nu: Optional[StepDistribution] = None
                           ) -> tuple[list[LawEstimate], dict]:
-    """Per-n estimates plus running sup/inf diagnostics over the interval
-    endpoints.  Finite radii cannot distinguish limsup from liminf, so both
-    running extremes are reported side by side."""
+    """Per-n estimates of P(law holds) at the given rank, plus running
+    sup/inf diagnostics over the interval endpoints: finite radii cannot
+    tell limsup from liminf, so both running extremes are reported.
+
+    mode "ball": variables drawn uniformly from the exact radius-n ball.
+    mode "walk": variables are independent n-step nu-walks.
+    mode "exhaustive": every assignment from ball(n)^arity, exact count.
+    The ball modes read every row from one ball, of radius max(n_values).
+    Sampled modes need trials >= 1 and a seed; row i draws from
+    random.Random(seed + 1000003 i), trial by trial, x1's value then x2's.
+    """
+    if mode not in ("ball", "walk", "exhaustive"):
+        raise InputError("mode must be ball, walk, or exhaustive")
+    if mode != "exhaustive" and trials < 1:
+        raise InputError("sampled modes need trials >= 1")
+    if mode != "exhaustive" and seed is None:
+        raise InputError("sampled modes need a seed")
+    if mode == "walk" and nu is None:
+        raise InputError("walk mode needs a step distribution")
+    oracle = presentation.oracle(rank)
+    arity = law.arity
+    if mode != "walk":
+        top = enumerate_ball(presentation, rank, max(n_values, default=0), budget)
     rows = []
     for i, n in enumerate(n_values):
-        row_seed = None if seed is None else seed + 1000003 * i
-        rows.append(law_probability(presentation, law, rank, mode, n,
-                                    trials=trials, seed=row_seed,
-                                    budget=budget, nu=nu))
-    sup_hi: list[float] = []
-    inf_lo: list[float] = []
-    for i, r in enumerate(rows):
-        hi = float(r.p_hi)
-        lo = float(r.p_lo)
-        sup_hi.append(max(sup_hi[i - 1], hi) if i else hi)
-        inf_lo.append(min(inf_lo[i - 1], lo) if i else lo)
-    diag = {
-        "running_sup_p_hi": sup_hi,
-        "running_inf_p_lo": inf_lo,
+        rng = None if mode == "exhaustive" else random.Random(seed + 1000003 * i)
+        if mode == "walk":
+            walks = map(Word._raw, map(decode_letters, _walks(nu, n, arity * trials, rng)))
+            words = map(law.evaluate, zip(*[walks] * arity))
+        else:
+            el = _exact_elements(top.within(n))
+            combos = (product(el, repeat=arity) if mode == "exhaustive" else
+                      ([el[rng.randrange(len(el))] for _ in range(arity)] for _ in range(trials)))
+            words = (law.evaluate(list(map(Word._raw, combo))) for combo in combos)
+        rows.append(_estimate(law.text, mode, n, *_tally(oracle, words, budget),
+                              exact=mode == "exhaustive"))
+    return rows, {
+        "running_sup_p_hi": list(accumulate((float(r.p_hi) for r in rows), max)),
+        "running_inf_p_lo": list(accumulate((float(r.p_lo) for r in rows), min)),
         "n_values": list(n_values),
     }
-    return rows, diag
 
 
 class TorsionVerdict(Record):

@@ -94,9 +94,10 @@ def test_ab_norms_exact_at_margin(p_k5_m2_r2, budget):
 def test_union_enumeration_matches_scan(free_m1, budget):
     """Rank 0, n <= 6: the conjugate-union enumeration V K V^-1 returns the
     same element set as the direct cyclic-core scan, element for element."""
+    ball = enumerate_ball(free_m1, 0, 3, budget)
     for n in range(7):
         scan = rank0_hg_elements(free_m1.alphabet, n)
-        union, flag = hg_union_elements(free_m1, 0, n, budget)
+        union, flag = hg_union_elements(free_m1, ball, n, budget)
         assert flag == "exact"
         assert union == scan, n
         assert len(scan) == rank0_hg_count(free_m1.alphabet, n)

@@ -15,6 +15,7 @@ from burnlab.cayley import (
     QuadExt,
     density_HG,
     density_bound_chain,
+    density_rows,
     density_rows_to_csv,
     density_rows_to_json,
     enumerate_ball,
@@ -158,7 +159,8 @@ tiny_budgets = st.builds(OracleBudget, max_ball_radius=st.integers(0, 4),
 
 class TestBallMatchesReference:
     """`enumerate_ball` on encoded words returns what the letter-tuple
-    search returns, cold or warm, in elements, sphere counts and flag."""
+    search returns, cold or warm, in elements, sphere counts and flag; so
+    does the ball of each smaller radius it passed through."""
 
     @staticmethod
     def answers(*balls):
@@ -179,6 +181,18 @@ class TestBallMatchesReference:
         warm = enumerate_ball(ref_side, *args, letters=letters)
         warm_ref = reference_enumerate_ball(new_side, *args, letters=letters)
         assert self.answers(got, warm, warm_ref) == self.answers(expected) * 3
+        assert got.within(radius) is got
+        for r in range(radius):
+            cold = reference_enumerate_ball(GradedPresentation.from_json(text), rank, r,
+                                            budget, letters=letters)
+            assert got.within(r).radius == r
+            assert self.answers(got.within(r), warm.within(r)) == self.answers(cold) * 2
+
+    def test_within_refuses_other_radii(self, free_m1, budget):
+        ball = enumerate_ball(free_m1, 0, 2, budget)
+        for r in (-1, 3):
+            with pytest.raises(InputError, match="outside 0..2"):
+                ball.within(r)
 
     @pytest.mark.parametrize("which, radius, applications", [
         ("k3-m1-r1", 4, 1), ("k3-m1-r2", 3, 2), ("k5-m2-r2", 3, 1)])
@@ -216,6 +230,26 @@ class TestGrowth:
         table = growth(p_k3_m1_r2, 2, 2, budget, subgroup="H")
         assert all(f == FLAG_UPPER for _, _, f in table.rows)
 
+    @given(which=st.sampled_from(["k3-m1-r1", "k3-m1-r2", "k5-m2-r2"]),
+           radius=st.integers(0, 4), subgroup=st.sampled_from("GH"), budget=tiny_budgets)
+    @settings(max_examples=25, deadline=None)
+    def test_row_r_is_the_radius_r_table(self, ball_presentations, which, radius,
+                                         subgroup, budget):
+        text, rank = ball_presentations[which]
+
+        def rows(r):
+            return growth(GradedPresentation.from_json(text), rank, r, budget,
+                          subgroup=subgroup).rows
+        assert rows(radius) == tuple(rows(r)[-1] for r in range(radius + 1))
+
+    def test_rows_take_their_own_flag(self, ball_presentations):
+        # one relator application: every ball past radius 0 is upper-bound
+        text, _ = ball_presentations["k3-m1-r1"]
+        budget = OracleBudget(max_relator_applications=1)
+        table = growth(GradedPresentation.from_json(text), 1, 4, budget)
+        assert table.rows == ((0, 1, FLAG_EXACT), (1, 7, FLAG_UPPER), (2, 35, FLAG_UPPER),
+                              (3, 175, FLAG_UPPER), (4, 875, FLAG_UPPER))
+
     def test_subgroup_name_validated(self, free_m1, budget):
         with pytest.raises(InputError):
             growth(free_m1, 0, 2, budget, subgroup="K")
@@ -250,13 +284,15 @@ class TestDensityRank0:
                     rank0_hg_count(alphabet, n)
 
     def test_union_matches_scan_at_rank0(self, free_m1, budget):
+        ball = enumerate_ball(free_m1, 0, 2, budget)
         for n in range(6):
-            elements, flag = hg_union_elements(free_m1, 0, n, budget)
+            elements, flag = hg_union_elements(free_m1, ball, n, budget)
             assert flag == FLAG_EXACT
             assert elements == rank0_hg_elements(free_m1.alphabet, n)
 
     def test_union_membership_spot_checks(self, free_m1, budget):
-        elements, _ = hg_union_elements(free_m1, 0, 3, budget)
+        ball = enumerate_ball(free_m1, 0, 1, budget)
+        elements, _ = hg_union_elements(free_m1, ball, 3, budget)
         assert Word.parse("s1.a.S1").letters in elements
         assert Word.parse("a.b").letters in elements
         assert Word.parse("s1").letters not in elements
@@ -294,6 +330,27 @@ class TestDensityRank0:
         assert row.hg_lo <= row.hg_hi <= row.sigma_bound
         assert row.ratio_lo <= row.ratio_hi
         assert row.ball == 167
+
+    def test_upper_bound_ball_bounds_ratio_from_above(self, p_k3_m1_r1, budget):
+        # the radius-3 ball reads 175 elements where the exact ball has 167:
+        # ratio_hi divides by its 51 distinct lattice residues instead, and
+        # 61/51 clips to 1; at n = 2 the 35-element ball has 23 residues
+        exact = density_HG(p_k3_m1_r1, 1, 3, budget, method="union")
+        assert (exact.ball_flag, exact.ratio_lo, exact.ratio_hi) == \
+            (FLAG_EXACT, Fraction(61, 167), Fraction(61, 167))
+        tiny = OracleBudget(max_ball_radius=4, max_relator_applications=1)
+        rows = density_rows(GradedPresentation.from_json(p_k3_m1_r1.to_json()), 1,
+                            [2, 3], tiny)
+        assert [(r.n, r.ball, r.ball_flag, r.hg_lo, r.hg_hi) for r in rows] == \
+            [(2, 35, FLAG_UPPER, 13, 17), (3, 175, FLAG_UPPER, 25, 61)]
+        assert [(r.ratio_lo, r.ratio_hi) for r in rows] == \
+            [(Fraction(13, 35), Fraction(17, 23)), (Fraction(1, 7), Fraction(1))]
+        assert rows[1].ratio_lo <= exact.ratio_lo <= exact.ratio_hi <= rows[1].ratio_hi
+
+    def test_rows_match_one_row_calls(self, p_k3_m1_r1, budget):
+        rows = density_rows(p_k3_m1_r1, 1, [3, 0, 2], budget, method="union")
+        assert rows == [density_HG(p_k3_m1_r1, 1, n, budget, method="union")
+                        for n in (3, 0, 2)]
 
     def test_method_validation(self, free_m1, p_k3_m1_r1, budget):
         with pytest.raises(InputError):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from burnlab import cli
+from burnlab import cayley, cli, probability
 from burnlab.errors import BurnlabError
 from burnlab.oracle import OracleBudget
 from burnlab.presentation import GradedPresentation, SmallCancellationParams
@@ -535,6 +535,31 @@ class TestConfig:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert "unrecognized arguments: %s 1" % flag in err and "Traceback" not in err
+
+
+class TestOneBallPerCommand:
+    """Every row of a ball-reading command comes from one `enumerate_ball`
+    search, of the command's largest radius."""
+
+    @pytest.mark.parametrize("argv, radius", [
+        (["density", "--rank", "1", "--n-min", "0", "--n-max", "5", "--method", "union"], 5),
+        (["lawprob", "--law", "x1^3", "--mode", "exhaustive", "--rank", "1",
+          "--radius-min", "0", "--radius", "3"], 3),
+        (["lawprob", "--law", "x1^3", "--mode", "ball", "--rank", "1",
+          "--radius-min", "1", "--radius", "3", "--trials", "50", "--seed", "7"], 3),
+    ])
+    def test_enumerates_once(self, workspace, tmp_path, monkeypatch, argv, radius):
+        radii = []
+        search = cayley.enumerate_ball
+
+        def counted(presentation, rank, r, *args, **kwargs):
+            radii.append(r)
+            return search(presentation, rank, r, *args, **kwargs)
+        for module in (cayley, probability):
+            monkeypatch.setattr(module, "enumerate_ball", counted)
+        assert cli.main(argv + ["--presentation", presentation_path(workspace, 1),
+                                "--out-dir", str(tmp_path)]) == 0
+        assert radii == [radius]
 
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"

@@ -103,11 +103,10 @@ def reference_law_probability(presentation, law, rank, mode, n, trials=0,
         words = [law.evaluate([Word._raw(t) for t in combo])
                  for combo in product(ball.elements, repeat=law.arity)]
     else:
-        rng, cache, assignments = random.Random(seed), {}, []
+        rng, assignments = random.Random(seed), []
         for _ in range(trials):
             if mode == "ball":
-                vals = [sample_uniform_ball(presentation, rank, n, rng, budget,
-                                            _cache=cache)
+                vals = [sample_uniform_ball(presentation, rank, n, rng, budget)
                         for _ in range(law.arity)]
             else:
                 vals = [reference_walk(nu, n, rng) for _ in range(law.arity)]
@@ -537,6 +536,18 @@ class TestLawProbability:
         est = law_probability(p_k3_m1_r1, GroupLaw.commutator(), 1, "walk", 4,
                               trials=40, seed=3, budget=budget, nu=ALL_STEPS)
         assert est.trials == 40 and est.mode == "walk"
+
+    @pytest.mark.parametrize("mode, trials, seed", [("ball", 40, 9), ("exhaustive", 0, None)])
+    def test_sweep_rows_match_reference(self, p_k3_m1_r1, budget, mode, trials, seed):
+        # rows read one radius-2 ball, in any order of radii; row i draws
+        # from seed + 1000003 i
+        n_values = [2, 0, 1]
+        rows, _ = law_probability_sweep(p_k3_m1_r1, GroupLaw.commutator(), 1, mode,
+                                        n_values, trials=trials, seed=seed, budget=budget)
+        assert rows == [reference_law_probability(
+            p_k3_m1_r1, GroupLaw.commutator(), 1, mode, n, trials=trials,
+            seed=None if seed is None else seed + 1000003 * i, budget=budget)
+            for i, n in enumerate(n_values)]
 
     def test_sweep_diagnostics(self, p_k3_m1_r1, budget):
         rows, diag = law_probability_sweep(
